@@ -11,8 +11,7 @@
 #   7. audited tiny matrix        (debug assertions + inter-stage auditors)
 #   8. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
 #   9. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  10. parallel determinism smoke (--stage-threads 2 fingerprint == serial;
-#      a paper-scale variant runs when VPGA_PAPER_SMOKE=1)
+#  10. paper-scale golden        (network_switch/granular; only when VPGA_PAPER_SMOKE=1)
 #  11. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
@@ -127,30 +126,17 @@ elif ! printf '%s\n' "$out" | grep -q 'line [0-9]*, col [0-9]*'; then
     exit 1
 fi
 
-step "parallel determinism smoke (tiny matrix, --stage-threads 2 vs 1)"
-serial=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --stage-threads 1 \
-    | grep '^matrix fingerprint:')
-par=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --stage-threads 2 \
-    | grep '^matrix fingerprint:')
-if [ "$serial" != "$par" ]; then
-    echo "error: --stage-threads 2 diverged from serial: '$par' != '$serial'" >&2
-    exit 1
-fi
-
-# Paper-scale smoke: one granular network-switch cell through the full
-# flow at 2 worker threads, asserted bit-identical to the serial run.
-# Minutes of wall time, so it only runs when a nightly opts in with
-# VPGA_PAPER_SMOKE=1.
+# Paper-scale golden: one granular network-switch cell through the full
+# flow, asserted against its published fingerprint. Minutes of wall time,
+# so it only runs when a nightly opts in with VPGA_PAPER_SMOKE=1.
 if [ "${VPGA_PAPER_SMOKE:-0}" = "1" ]; then
-    step "paper-scale parallel smoke (network_switch/granular, threads 2 vs 1)"
-    p1=$(cargo run -q --release --bin vpga -- matrix --size paper \
-        --only network_switch/granular --stage-threads 1 \
+    step "paper-scale golden (network_switch/granular)"
+    paper_golden="matrix fingerprint: 0xc853fd6e282afb68"
+    paper=$(cargo run -q --release --bin vpga -- matrix --size paper \
+        --only network_switch/granular \
         | grep '^matrix fingerprint:')
-    p2=$(cargo run -q --release --bin vpga -- matrix --size paper \
-        --only network_switch/granular --stage-threads 2 \
-        | grep '^matrix fingerprint:')
-    if [ "$p1" != "$p2" ]; then
-        echo "error: paper-scale --stage-threads 2 diverged: '$p2' != '$p1'" >&2
+    if [ "$paper" != "$paper_golden" ]; then
+        echo "error: paper-scale cell diverged from the golden: '$paper' != '$paper_golden'" >&2
         exit 1
     fi
 fi

@@ -74,23 +74,9 @@ pub fn params_from_args() -> DesignParams {
     })
 }
 
-/// Looks up a named size.
+/// Looks up a named size (see [`DesignParams::by_name`]).
 pub fn params_by_name(name: &str) -> Option<DesignParams> {
-    match name {
-        "tiny" => Some(DesignParams::tiny()),
-        "small" => Some(DesignParams::small()),
-        "medium" => Some(DesignParams {
-            alu_width: 24,
-            fpu_mantissa: 16,
-            fpu_exponent: 6,
-            fpu_lanes: 3,
-            switch_ports: 8,
-            switch_width: 16,
-            firewire_scale: 3,
-        }),
-        "paper" => Some(DesignParams::paper()),
-        _ => None,
-    }
+    DesignParams::by_name(name)
 }
 
 /// Prints a standard experiment header.

@@ -61,6 +61,20 @@ impl DesignParams {
         }
     }
 
+    /// Sizes between `small` and `paper`: the scale the production matrix
+    /// and the flow benchmark run at.
+    pub fn medium() -> DesignParams {
+        DesignParams {
+            alu_width: 24,
+            fpu_mantissa: 16,
+            fpu_exponent: 6,
+            fpu_lanes: 3,
+            switch_ports: 8,
+            switch_width: 16,
+            firewire_scale: 3,
+        }
+    }
+
     /// Paper-scale sizes: FPU ≈ 24 k and Network switch ≈ 80 k
     /// NAND2-equivalent gates.
     pub fn paper() -> DesignParams {
@@ -72,6 +86,17 @@ impl DesignParams {
             switch_ports: 16,
             switch_width: 64,
             firewire_scale: 4,
+        }
+    }
+
+    /// Looks up a named size: `tiny`, `small`, `medium` or `paper`.
+    pub fn by_name(name: &str) -> Option<DesignParams> {
+        match name {
+            "tiny" => Some(DesignParams::tiny()),
+            "small" => Some(DesignParams::small()),
+            "medium" => Some(DesignParams::medium()),
+            "paper" => Some(DesignParams::paper()),
+            _ => None,
         }
     }
 }

@@ -43,7 +43,10 @@ use crate::stats::{StageId, StageStats};
 /// completed count, config fingerprint, payload length.
 const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 
-const MAGIC: &[u8; 8] = b"VPGACKP1";
+/// The format tag. Bumped whenever the payload layout changes, so a file
+/// written by an older layout fails closed instead of decoding shifted
+/// fields under a still-valid digest.
+const MAGIC: &[u8; 8] = b"VPGACKP2";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -72,19 +75,8 @@ pub(crate) fn config_fingerprint(
         audit: false,
         deadline: None,
         emit: EmitConfig::default(),
-        // Worker counts and fault hooks never change artifact bits (the
-        // parallel kernels are bit-identical to serial), so a serial
-        // checkpoint resumes under `--stage-threads N` and vice versa.
-        stage_threads: 1,
-        place: PlaceConfig {
-            threads: 1,
-            worker_hook: None,
-            ..config.place.clone()
-        },
         route: vpga_route::RouteConfig {
             keep_routes: false,
-            threads: 1,
-            worker_hook: None,
             ..config.route.clone()
         },
         ..config.clone()
@@ -140,10 +132,6 @@ fn encode_stats(w: &mut Writer, s: &StageStats) {
     w.opt(s.sta_full, Writer::u64);
     w.opt(s.sta_incremental, Writer::u64);
     w.opt(s.sta_nodes_touched, Writer::u64);
-    w.opt(s.spec_moves_attempted, Writer::u64);
-    w.opt(s.spec_moves_committed, Writer::u64);
-    w.opt(s.spec_moves_aborted, Writer::u64);
-    w.opt(s.par_net_batches, Writer::u64);
     w.opt(s.cache_hits, Writer::u64);
     w.opt(s.cache_misses, Writer::u64);
     w.opt(s.cache_evicted, Writer::u64);
@@ -171,10 +159,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
     s.sta_full = r.opt(Reader::u64)?;
     s.sta_incremental = r.opt(Reader::u64)?;
     s.sta_nodes_touched = r.opt(Reader::u64)?;
-    s.spec_moves_attempted = r.opt(Reader::u64)?;
-    s.spec_moves_committed = r.opt(Reader::u64)?;
-    s.spec_moves_aborted = r.opt(Reader::u64)?;
-    s.par_net_batches = r.opt(Reader::u64)?;
     s.cache_hits = r.opt(Reader::u64)?;
     s.cache_misses = r.opt(Reader::u64)?;
     s.cache_evicted = r.opt(Reader::u64)?;
@@ -287,8 +271,6 @@ pub(crate) fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<St
             seed,
             moves_per_cell,
             net_weights,
-            threads: 1,
-            worker_hook: None,
         })
     })?;
     store.buffer_trace = r.opt(|r| {
@@ -466,7 +448,7 @@ impl CheckpointStore {
             *slot = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         }
         if magic != *MAGIC {
-            return Err(fail(0, "bad magic (not a VPGACKP1 checkpoint)"));
+            return Err(fail(0, "bad magic (not a VPGACKP2 checkpoint)"));
         }
         let got_kind = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         if got_kind != kind {
@@ -732,9 +714,7 @@ mod tests {
             .with_cost(3.5, 1.25)
             .with_moves(100, 40)
             .with_retries(2)
-            .with_sta(1, 9, 123)
-            .with_speculation(512, 480, 32)
-            .with_par_batches(6);
+            .with_sta(1, 9, 123);
         let mut w = Writer::new();
         encode_stats(&mut w, &s);
         let bytes = w.into_bytes();
@@ -823,6 +803,54 @@ mod tests {
         assert!(store
             .load_result("alu", &arch, FlowVariant::A, &config, &params)
             .is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Files of the previous format carry a digest that still validates,
+    /// so only the tag keeps their shifted stage records from decoding.
+    /// Retagged files must fail closed, and resuming over them must
+    /// recompute to the golden tiny matrix.
+    #[test]
+    fn previous_format_files_fail_closed_and_resume_recomputes() {
+        use crate::report::Matrix;
+        const TINY_MATRIX_FINGERPRINT: u64 = 0xd516_b48d_af41_3258;
+        let dir = std::env::temp_dir().join(format!("vpga-ckpt-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let params = DesignParams::tiny();
+        let config = FlowConfig::default();
+        let store = CheckpointStore::new(&dir, false).unwrap();
+        let first = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
+        assert_eq!(first.fingerprint(), TINY_MATRIX_FINGERPRINT);
+        let mut retagged = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "ckpt") {
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[..8].copy_from_slice(b"VPGACKP1");
+                std::fs::write(&path, &bytes).unwrap();
+                retagged += 1;
+            }
+        }
+        assert_eq!(retagged, 8 + 16, "one front-end and two results per pair");
+
+        let store = CheckpointStore::new(&dir, true).unwrap();
+        let arch = PlbArchitecture::granular();
+        let path = store.result_path("alu", "granular", FlowVariant::A);
+        let fp = config_fingerprint(&config, &params, &arch);
+        match store.read_file_strict(&path, KIND_RESULT, fp) {
+            Err(FlowError::Checkpoint { offset, detail, .. }) => {
+                assert_eq!(offset, 0);
+                assert!(detail.contains("bad magic"), "{detail}");
+            }
+            other => panic!("a VPGACKP1 file must fail closed, got {other:?}"),
+        }
+        let resumed = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
+        assert!(
+            resumed.failures().is_empty(),
+            "{}",
+            resumed.failures_report()
+        );
+        assert_eq!(resumed.fingerprint(), TINY_MATRIX_FINGERPRINT);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,15 +24,6 @@
 //! artifact cache of [`crate::cache`], and `"serve_accept"` /
 //! `"serve_drain"` in the daemon's accept loop and drain path (fired by
 //! the serve crate through the public [`fire`]).
-//!
-//! Two further points live *inside worker threads* of the intra-stage
-//! parallel kernels (`--stage-threads` > 1): `"place_worker"` fires at the
-//! start of every speculative-annealing worker, `"route_worker"` at the
-//! start of every batched-negotiation worker. Worker hooks are plain `fn`
-//! pointers, so these points see the fixed context string `"worker"`
-//! instead of the job context; any armed kind makes the worker panic,
-//! which must surface as a [`crate::FlowError::StagePanic`] attributed to
-//! the owning stage — never a hang, never a torn artifact.
 
 #![allow(dead_code)]
 
@@ -195,26 +186,6 @@ pub fn fire(point: &str, ctx: &str) -> Result<(), FlowError> {
 #[inline(always)]
 pub fn fire(_point: &str, _ctx: &str) -> Result<(), FlowError> {
     Ok(())
-}
-
-/// Fault hook run at the start of every speculative-annealing worker
-/// thread (the `"place_worker"` point). The hook signature is a bare
-/// `fn()`, so an armed fault of *any* kind panics the worker — the scoped
-/// spawn re-raises the panic on the stage thread, where the executor's
-/// `catch_unwind` attributes it to the noted stage and fails the job
-/// closed.
-pub(crate) fn place_worker_hook() {
-    if let Err(e) = fire("place_worker", "worker") {
-        panic!("injected worker fault: {e}");
-    }
-}
-
-/// Fault hook run at the start of every batched-negotiation worker thread
-/// (the `"route_worker"` point). See [`place_worker_hook`].
-pub(crate) fn route_worker_hook() {
-    if let Err(e) = fire("route_worker", "worker") {
-        panic!("injected worker fault: {e}");
-    }
 }
 
 /// Arms faults from a `VPGA_FAULT`-style specification:

@@ -96,8 +96,6 @@ impl Stage<BackArtifacts<'_>> for PackStage {
         let hpwl_before = b_placement.total_hpwl(netlist);
         let seeded = PlaceConfig {
             seed: derive_seed(env.config.place.seed, attempt),
-            threads: env.config.stage_threads,
-            worker_hook: Some(crate::faultpoint::place_worker_hook),
             ..env.config.place.clone()
         };
         let (array, pack_stats) = vpga_pack::pack_iterative_with_stats(
@@ -270,8 +268,6 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
                 FlowVariant::A => env.config.route.tile_size,
                 FlowVariant::B => Some(store.array.as_ref().expect("flow b packed").plb_pitch()),
             },
-            threads: env.config.stage_threads,
-            worker_hook: Some(crate::faultpoint::route_worker_hook),
             ..env.config.route.clone()
         };
         let cfg = RouteConfig {
@@ -284,8 +280,7 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
             .with_reroutes(
                 routing.total_reroutes() as u64,
                 routing.nets_routed() as u64,
-            )
-            .with_par_batches(routing.parallel_batches() as u64);
+            );
         store.routing = Some(routing);
         Ok(stats)
     }

@@ -131,17 +131,6 @@ pub struct StageStats {
     /// Timing-graph nodes the incremental updates recomputed (full passes
     /// do not count here).
     pub sta_nodes_touched: Option<u64>,
-    /// Speculative annealing-move evaluations run on worker threads
-    /// (`--stage-threads` > 1; unset in serial runs).
-    pub spec_moves_attempted: Option<u64>,
-    /// Speculations the commit pass used directly.
-    pub spec_moves_committed: Option<u64>,
-    /// Speculations invalidated by an earlier commit and replayed
-    /// serially.
-    pub spec_moves_aborted: Option<u64>,
-    /// Negotiation iterations whose dirty nets were routed as a parallel
-    /// batch against a frozen congestion snapshot.
-    pub par_net_batches: Option<u64>,
     /// Stage results served from the shared artifact cache instead of
     /// recomputed (daemon mode; unset in batch runs).
     pub cache_hits: Option<u64>,
@@ -184,10 +173,6 @@ impl StageStats {
             sta_full: None,
             sta_incremental: None,
             sta_nodes_touched: None,
-            spec_moves_attempted: None,
-            spec_moves_committed: None,
-            spec_moves_aborted: None,
-            par_net_batches: None,
             cache_hits: None,
             cache_misses: None,
             cache_evicted: None,
@@ -247,29 +232,6 @@ impl StageStats {
         self.sta_full = Some(full);
         self.sta_incremental = Some(incremental);
         self.sta_nodes_touched = Some(nodes_touched);
-        self
-    }
-
-    /// Attaches the speculative-execution counters of a parallel annealing
-    /// stage (only recorded when speculation actually ran, so serial runs
-    /// keep their records unchanged).
-    #[must_use]
-    pub fn with_speculation(mut self, attempted: u64, committed: u64, aborted: u64) -> StageStats {
-        if attempted > 0 {
-            self.spec_moves_attempted = Some(attempted);
-            self.spec_moves_committed = Some(committed);
-            self.spec_moves_aborted = Some(aborted);
-        }
-        self
-    }
-
-    /// Attaches the parallel-batch count of a routing stage (only recorded
-    /// when batched routing actually ran).
-    #[must_use]
-    pub fn with_par_batches(mut self, batches: u64) -> StageStats {
-        if batches > 0 {
-            self.par_net_batches = Some(batches);
-        }
         self
     }
 
@@ -343,11 +305,6 @@ impl StageStats {
         // influence is already pinned by the cost/slack fields above. This
         // keeps fingerprints stable across timer-strategy changes.
         //
-        // The parallelism counters (spec_moves_* and par_net_batches) stay
-        // out for the same reason: `--stage-threads N` must fingerprint
-        // identically to a serial run, and the moves/bbox/reroute counters
-        // above already pin every result the workers could have perturbed.
-        //
         // The cache counters (cache_hits/cache_misses/cache_evicted) stay
         // out too: a daemon job served from the artifact cache must
         // fingerprint bit-identically to the batch run that computed the
@@ -390,16 +347,6 @@ impl fmt::Display for StageStats {
             if let Some(n) = self.sta_nodes_touched {
                 write!(f, "/{n}n")?;
             }
-        }
-        if let (Some(att), Some(com), Some(ab)) = (
-            self.spec_moves_attempted,
-            self.spec_moves_committed,
-            self.spec_moves_aborted,
-        ) {
-            write!(f, "  spec {com}c/{ab}a/{att}t")?;
-        }
-        if let Some(b) = self.par_net_batches {
-            write!(f, "  par {b} batches")?;
         }
         if let (Some(h), Some(m), Some(e)) =
             (self.cache_hits, self.cache_misses, self.cache_evicted)
@@ -499,29 +446,6 @@ mod tests {
         base.fold_fingerprint(&mut ha);
         with.fold_fingerprint(&mut hb);
         assert_eq!(ha, hb);
-    }
-
-    #[test]
-    fn parallelism_counters_show_but_do_not_refingerprint() {
-        let place = StageStats::new(StageId::Place, Duration::ZERO, 10, 20)
-            .with_cost(9.0, 7.0)
-            .with_moves(300, 120);
-        let spec = place.clone().with_speculation(512, 500, 12);
-        assert!(spec.to_string().contains("spec 500c/12a/512t"));
-        let route = StageStats::new(StageId::Route, Duration::ZERO, 10, 20).with_reroutes(36, 30);
-        let par = route.clone().with_par_batches(8);
-        assert!(par.to_string().contains("par 8 batches"));
-        // `--stage-threads N` must fingerprint identically to serial.
-        let (mut ha, mut hb, mut hc, mut hd) = (0u64, 0u64, 0u64, 0u64);
-        place.fold_fingerprint(&mut ha);
-        spec.fold_fingerprint(&mut hb);
-        route.fold_fingerprint(&mut hc);
-        par.fold_fingerprint(&mut hd);
-        assert_eq!(ha, hb);
-        assert_eq!(hc, hd);
-        // Zero-count attachment leaves the record untouched (serial runs).
-        assert_eq!(place.clone().with_speculation(0, 0, 0), place);
-        assert_eq!(route.clone().with_par_batches(0), route);
     }
 
     #[test]

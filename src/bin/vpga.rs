@@ -5,8 +5,7 @@
 //! vpga flow <design.v> [--arch granular|lut|homogeneous] [--no-compaction] [--stats]
 //!           [--audit] [--retries N] [--deadline SECS]
 //! vpga matrix [--size tiny|small|medium|paper] [--jobs N] [--stats]
-//!           [--stage-threads N] [--only DESIGN/ARCH]
-//!           [--arch-file FILE]...
+//!           [--only DESIGN/ARCH] [--arch-file FILE]...
 //!           [--audit] [--retries N] [--deadline SECS]
 //!           [--checkpoint-dir DIR] [--resume]
 //!           [--emit-sdf DIR] [--emit-xdl DIR]
@@ -30,6 +29,7 @@
 //! additionally emits the via program of the packed array; `arch` prints an
 //! architecture summary. `--stats` adds the per-stage instrumentation
 //! (wall time, netlist sizes, cost movement, mover/acceptance counters).
+//! Every subcommand rejects a flag it does not accept.
 //!
 //! `--emit-sdf` / `--emit-xdl` write one SDF 3.0 timing file and/or one
 //! `.vxdl` netlist/placement/routing file per back-end job after its
@@ -124,8 +124,6 @@ fn print_usage() {
          architectures A: granular | lut | homogeneous (default granular)\n\
          --jobs N: worker threads (0 = one per CPU; default 1) — results are\n\
          \x20         bit-identical for any N\n\
-         --stage-threads N: worker threads *inside* the place/route kernels\n\
-         \x20         (0 = one per CPU; default 1) — results are bit-identical for any N\n\
          --only F: (matrix) run only the cells whose design/arch contains F\n\
          --arch-file FILE: (matrix, repeatable) load a .varch architecture description\n\
          \x20         and sweep it through the matrix; a description named after a\n\
@@ -156,6 +154,29 @@ fn print_usage() {
          \x20                                                   load-test an in-process daemon against\n\
          \x20                                                   batch-mode reference fingerprints"
     );
+}
+
+/// Rejects any flag in `args` that `vpga command` does not accept: `valued`
+/// flags consume the argument after them, `switches` stand alone, and
+/// everything else starting with `-` is an error naming the flag and the
+/// subcommand. Missing or malformed values are left to each flag's parser.
+fn check_flags(
+    command: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), Box<dyn Error>> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if valued.contains(&arg.as_str()) {
+            iter.next();
+        } else if arg.starts_with('-') && !switches.contains(&arg.as_str()) {
+            return Err(
+                format!("unknown flag {arg:?} for `vpga {command}`; try `vpga help`").into(),
+            );
+        }
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -194,39 +215,12 @@ fn apply_robustness_flags(
     } else if args.iter().any(|a| a == "--deadline") {
         return Err("--deadline needs a value".into());
     }
-    if let Some(v) = flag_value(args, "--stage-threads") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("bad --stage-threads value {v:?}"))?;
-        // 0 = one worker per CPU, like --jobs.
-        config.stage_threads = if n == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            n
-        };
-    } else if args.iter().any(|a| a == "--stage-threads") {
-        return Err("--stage-threads needs a value".into());
-    }
     Ok(config)
 }
 
 fn parse_size(args: &[String]) -> Result<DesignParams, Box<dyn Error>> {
     let name = flag_value(args, "--size").unwrap_or("small");
-    match name {
-        "tiny" => Ok(DesignParams::tiny()),
-        "small" => Ok(DesignParams::small()),
-        "medium" => Ok(DesignParams {
-            alu_width: 24,
-            fpu_mantissa: 16,
-            fpu_exponent: 6,
-            fpu_lanes: 3,
-            switch_ports: 8,
-            switch_width: 16,
-            firewire_scale: 3,
-        }),
-        "paper" => Ok(DesignParams::paper()),
-        other => Err(format!("unknown size {other:?}").into()),
-    }
+    DesignParams::by_name(name).ok_or_else(|| format!("unknown size {name:?}").into())
 }
 
 fn parse_arch(args: &[String]) -> Result<PlbArchitecture, Box<dyn Error>> {
@@ -284,6 +278,7 @@ fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags("gen", args, &["--size", "-o"], &[])?;
     let name = args
         .first()
         .ok_or("gen requires a design name (alu|fpu|switch|firewire)")?;
@@ -308,6 +303,12 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "flow",
+        args,
+        &["--arch", "--retries", "--deadline"],
+        &["--no-compaction", "--stats", "--audit"],
+    )?;
     let path = args.first().ok_or("flow requires a Verilog file")?;
     let design = load_design(path)?;
     let arch = parse_arch(args)?;
@@ -369,6 +370,22 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_matrix(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "matrix",
+        args,
+        &[
+            "--size",
+            "--jobs",
+            "--only",
+            "--arch-file",
+            "--retries",
+            "--deadline",
+            "--checkpoint-dir",
+            "--emit-sdf",
+            "--emit-xdl",
+        ],
+        &["--no-compaction", "--stats", "--audit", "--resume"],
+    )?;
     let params = parse_size(args)?;
     let jobs: usize = match flag_value(args, "--jobs") {
         Some(v) => v.parse().map_err(|_| format!("bad --jobs value {v:?}"))?,
@@ -460,6 +477,7 @@ fn cmd_matrix(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_program(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags("program", args, &["--arch", "-o"], &[])?;
     let path = args.first().ok_or("program requires a Verilog file")?;
     let design = load_design(path)?;
     let arch = parse_arch(args)?;
@@ -511,6 +529,7 @@ fn cmd_program(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// fingerprints so they can be compared across runs.
 fn cmd_verify_interchange(args: &[String]) -> Result<(), Box<dyn Error>> {
     use vpga::interchange::{sdf, snapshot_fingerprint, vxdl};
+    check_flags("verify-interchange", args, &[], &[])?;
     let dir = args
         .first()
         .ok_or("verify-interchange requires a directory")?;
@@ -571,6 +590,12 @@ fn cmd_verify_interchange(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// fingerprint — the migration path from the binary checkpoint format to
 /// the interchange text format.
 fn cmd_migrate_checkpoints(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "migrate-checkpoints",
+        args,
+        &["--size"],
+        &["--no-compaction"],
+    )?;
     let dir = args
         .first()
         .ok_or("migrate-checkpoints requires a checkpoint directory")?;
@@ -630,6 +655,18 @@ fn numeric_flag<T: std::str::FromStr>(
 /// `vpga serve` — run the flow daemon until SIGTERM or `/shutdown`, then
 /// drain gracefully and report.
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--listen",
+            "--workers",
+            "--queue",
+            "--cache-mb",
+            "--checkpoint-dir",
+        ],
+        &["--chaos"],
+    )?;
     let config = vpga::serve::DaemonConfig {
         listen: flag_value(args, "--listen")
             .unwrap_or("127.0.0.1:8787")
@@ -666,6 +703,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// `vpga submit` — one GET against a running daemon, body to stdout.
 fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
     use std::net::ToSocketAddrs as _;
+    check_flags("submit", args, &[], &[])?;
     let host = args.first().ok_or("submit requires HOST:PORT")?;
     let path = args.get(1).ok_or(
         "submit requires a request path, e.g. \"/job?design=alu&arch=granular&variant=a&params=tiny\"",
@@ -687,6 +725,12 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// with mixed hit/miss/zero-deadline/poisoned jobs, every published
 /// fingerprint checked against the batch-mode reference.
 fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "serve-bench",
+        args,
+        &["--jobs", "--clients", "--cache-kb", "--designs"],
+        &[],
+    )?;
     let config = vpga::serve::BenchConfig {
         jobs: numeric_flag(args, "--jobs", 1000usize)?,
         clients: numeric_flag(args, "--clients", 8usize)?,
@@ -707,6 +751,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags("arch", args, &[], &[])?;
     let archs: Vec<PlbArchitecture> = if args.is_empty() {
         vec![
             PlbArchitecture::granular(),
@@ -735,6 +780,7 @@ fn cmd_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// `vpga export-arch` — write a built-in architecture's canonical `.varch`
 /// description, the data-migration path out of the embedded definitions.
 fn cmd_export_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags("export-arch", args, &["-o"], &[])?;
     let name = args
         .first()
         .ok_or("export-arch requires an architecture name (granular|lut|homogeneous)")?;
