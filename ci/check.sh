@@ -9,10 +9,11 @@
 #   5. cargo test                 (whole workspace)
 #   6. cargo test --features fault-inject   (fault-injection harness)
 #   7. audited tiny matrix        (debug assertions + inter-stage auditors)
-#   8. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
-#   9. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  10. paper-scale golden        (network_switch/granular; only when VPGA_PAPER_SMOKE=1)
-#  11. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
+#   8. medium legality guard      (only network_switch flow b may route illegally)
+#   9. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
+#  10. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
+#  11. paper-scale golden        (network_switch/granular; only when VPGA_PAPER_SMOKE=1)
+#  12. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
 # vendored as path crates under vendor/, so every step works offline.
@@ -56,11 +57,26 @@ step "audited matrix run (debug assertions + inter-stage auditors)"
 # The fingerprint folds the pack/swap mover counters, so this also pins
 # the incremental back-end (dirty-region repack, delta-cost swap) to the
 # published golden bit-for-bit.
-golden="matrix fingerprint: 0xd516b48daf413258"
+golden="matrix fingerprint: 0xb0fcd77e4b49dfdd"
 audited=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --audit \
     | grep '^matrix fingerprint:')
 if [ "$audited" != "$golden" ]; then
     echo "error: audited matrix diverged from the golden: '$audited' != '$golden'" >&2
+    exit 1
+fi
+
+step "medium legality guard (only network_switch flow b may route illegally)"
+# The tables mark each illegal route with a `! design/arch flow x: N
+# overflowed edges` line. On the fixed 4096-tile grid, network_switch
+# flow b overflows on both fabrics at `medium`; every other cell must
+# route legally. Legality after 8 negotiation iterations hangs on the
+# router's tie-breaks, so a kernel change can lose it silently.
+medium=$(target/release/vpga matrix --size medium --jobs 2)
+unexpected=$(printf '%s\n' "$medium" | grep '^! ' | sort -u \
+    | grep -v -E '^! network_switch/(granular|lut) flow b: ' || true)
+if [ -n "$unexpected" ]; then
+    echo "error: unexpected illegal routes at medium:" >&2
+    printf '%s\n' "$unexpected" >&2
     exit 1
 fi
 
@@ -131,7 +147,7 @@ fi
 # so it only runs when a nightly opts in with VPGA_PAPER_SMOKE=1.
 if [ "${VPGA_PAPER_SMOKE:-0}" = "1" ]; then
     step "paper-scale golden (network_switch/granular)"
-    paper_golden="matrix fingerprint: 0xc853fd6e282afb68"
+    paper_golden="matrix fingerprint: 0x3b1bd832778ed98f"
     paper=$(cargo run -q --release --bin vpga -- matrix --size paper \
         --only network_switch/granular \
         | grep '^matrix fingerprint:')
@@ -164,7 +180,7 @@ if [ "$ready" != 1 ]; then
     cat "$SRV/log.txt" >&2
     exit 1
 fi
-golden="matrix fingerprint: 0xd516b48daf413258"
+golden="matrix fingerprint: 0xb0fcd77e4b49dfdd"
 cold=$("$VPGA_BIN" submit "127.0.0.1:$PORT" "/matrix?params=tiny")
 warm=$("$VPGA_BIN" submit "127.0.0.1:$PORT" "/matrix?params=tiny")
 for run in cold warm; do

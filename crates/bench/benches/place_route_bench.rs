@@ -8,8 +8,9 @@
 //! The annealer's move schedule is deterministic at a fixed seed, so a
 //! whole `place` run times a fixed number of `try_move` attempts; its wall
 //! time is per-move cost times a constant (the attempt count is printed
-//! alongside the timings). `BENCH_place_route.json` in the repo root
-//! records the baseline these benches are tracked against.
+//! alongside the timings). Routing is likewise deterministic, so each
+//! route row prints its A* heap pops per run. `BENCH_place_route.json` in
+//! the repo root records the baseline these benches are tracked against.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vpga_core::PlbArchitecture;
@@ -41,6 +42,11 @@ fn bench_try_move(c: &mut Criterion) {
     });
 }
 
+/// Total A* heap pops of one routing run.
+fn astar_pops(routing: &vpga_route::RoutingResult) -> u64 {
+    routing.astar_pops_per_iteration().iter().sum()
+}
+
 fn bench_negotiation(c: &mut Criterion) {
     let (mapped, arch) = network_switch();
     let placement = vpga_place::place(&mapped, arch.library(), &vpga_place::PlaceConfig::default());
@@ -50,6 +56,11 @@ fn bench_negotiation(c: &mut Criterion) {
         max_iterations: 1,
         ..vpga_route::RouteConfig::default()
     };
+    let probe = vpga_route::route(&mapped, arch.library(), &placement, &one_iter);
+    println!(
+        "route/negotiation_iteration: {} A* pops per run",
+        astar_pops(&probe)
+    );
     c.bench_function("route/negotiation_iteration", |b| {
         b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &one_iter))
     });
@@ -79,6 +90,10 @@ fn bench_negotiation(c: &mut Criterion) {
         per_iter
     );
     println!("route/congested_dirty_net payload: {payload}");
+    println!(
+        "route/congested_dirty_net: {} A* pops per run",
+        astar_pops(&probe)
+    );
     let payload_path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("route_congested_dirty_net_payload.json");
     if let Err(e) = std::fs::write(&payload_path, &payload) {
@@ -87,6 +102,11 @@ fn bench_negotiation(c: &mut Criterion) {
     c.bench_function("route/congested_dirty_net", |b| {
         b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &tight))
     });
+    let probe = vpga_route::route(&mapped, arch.library(), &placement, &full);
+    println!(
+        "route/congested_full_ripup: {} A* pops per run",
+        astar_pops(&probe)
+    );
     c.bench_function("route/congested_full_ripup", |b| {
         b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &full))
     });

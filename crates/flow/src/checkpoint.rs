@@ -45,8 +45,10 @@ const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 
 /// The format tag. Bumped whenever the payload layout changes, so a file
 /// written by an older layout fails closed instead of decoding shifted
-/// fields under a still-valid digest.
-const MAGIC: &[u8; 8] = b"VPGACKP2";
+/// fields under a still-valid digest — and whenever the flow computes
+/// different results under an unchanged config fingerprint, as when the
+/// router's search kernel changed, so stale results are recomputed.
+const MAGIC: &[u8; 8] = b"VPGACKP3";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -448,7 +450,7 @@ impl CheckpointStore {
             *slot = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         }
         if magic != *MAGIC {
-            return Err(fail(0, "bad magic (not a VPGACKP2 checkpoint)"));
+            return Err(fail(0, "bad magic (not a VPGACKP3 checkpoint)"));
         }
         let got_kind = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         if got_kind != kind {
@@ -806,51 +808,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Files of the previous format carry a digest that still validates,
-    /// so only the tag keeps their shifted stage records from decoding.
-    /// Retagged files must fail closed, and resuming over them must
-    /// recompute to the golden tiny matrix.
+    /// Files of a previous format carry a digest that still validates,
+    /// so only the tag keeps them from decoding: `VPGACKP1` files hold
+    /// shifted stage records, and `VPGACKP2` files hold results of the
+    /// driver-rooted router under a config fingerprint that did not
+    /// change. Retagged files must fail closed, and resuming over them
+    /// must recompute to the golden tiny matrix.
     #[test]
     fn previous_format_files_fail_closed_and_resume_recomputes() {
         use crate::report::Matrix;
-        const TINY_MATRIX_FINGERPRINT: u64 = 0xd516_b48d_af41_3258;
-        let dir = std::env::temp_dir().join(format!("vpga-ckpt-v1-{}", std::process::id()));
+        const TINY_MATRIX_FINGERPRINT: u64 = 0xb0fc_d77e_4b49_dfdd;
+        let dir = std::env::temp_dir().join(format!("vpga-ckpt-old-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let params = DesignParams::tiny();
         let config = FlowConfig::default();
         let store = CheckpointStore::new(&dir, false).unwrap();
         let first = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
         assert_eq!(first.fingerprint(), TINY_MATRIX_FINGERPRINT);
-        let mut retagged = 0;
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "ckpt") {
-                let mut bytes = std::fs::read(&path).unwrap();
-                bytes[..8].copy_from_slice(b"VPGACKP1");
-                std::fs::write(&path, &bytes).unwrap();
-                retagged += 1;
+        for old_tag in [b"VPGACKP1", b"VPGACKP2"] {
+            let mut retagged = 0;
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|e| e == "ckpt") {
+                    let mut bytes = std::fs::read(&path).unwrap();
+                    bytes[..8].copy_from_slice(old_tag);
+                    std::fs::write(&path, &bytes).unwrap();
+                    retagged += 1;
+                }
             }
-        }
-        assert_eq!(retagged, 8 + 16, "one front-end and two results per pair");
+            assert_eq!(retagged, 8 + 16, "one front-end and two results per pair");
 
-        let store = CheckpointStore::new(&dir, true).unwrap();
-        let arch = PlbArchitecture::granular();
-        let path = store.result_path("alu", "granular", FlowVariant::A);
-        let fp = config_fingerprint(&config, &params, &arch);
-        match store.read_file_strict(&path, KIND_RESULT, fp) {
-            Err(FlowError::Checkpoint { offset, detail, .. }) => {
-                assert_eq!(offset, 0);
-                assert!(detail.contains("bad magic"), "{detail}");
+            let store = CheckpointStore::new(&dir, true).unwrap();
+            let arch = PlbArchitecture::granular();
+            let path = store.result_path("alu", "granular", FlowVariant::A);
+            let fp = config_fingerprint(&config, &params, &arch);
+            match store.read_file_strict(&path, KIND_RESULT, fp) {
+                Err(FlowError::Checkpoint { offset, detail, .. }) => {
+                    assert_eq!(offset, 0);
+                    assert!(detail.contains("bad magic"), "{detail}");
+                }
+                other => panic!("a {old_tag:?} file must fail closed, got {other:?}"),
             }
-            other => panic!("a VPGACKP1 file must fail closed, got {other:?}"),
+            let resumed = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
+            assert!(
+                resumed.failures().is_empty(),
+                "{}",
+                resumed.failures_report()
+            );
+            assert_eq!(resumed.fingerprint(), TINY_MATRIX_FINGERPRINT);
         }
-        let resumed = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
-        assert!(
-            resumed.failures().is_empty(),
-            "{}",
-            resumed.failures_report()
-        );
-        assert_eq!(resumed.fingerprint(), TINY_MATRIX_FINGERPRINT);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

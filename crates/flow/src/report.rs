@@ -3,7 +3,7 @@
 use vpga_designs::{DesignParams, NamedDesign};
 
 use crate::exec::{Executor, FlowMatrix};
-use crate::pipeline::DesignOutcome;
+use crate::pipeline::{DesignOutcome, FlowResult};
 use crate::stats::render_stages;
 use crate::{FlowConfig, FlowError, FlowVariant};
 
@@ -35,6 +35,32 @@ impl std::fmt::Display for CellFailure {
 /// first path component of job context strings).
 fn design_key(design: NamedDesign) -> &'static str {
     design.key()
+}
+
+/// A table cell's value, suffixed with `!` when its route is illegal.
+fn cell(value: String, result: &FlowResult) -> String {
+    if result.route_overflow > 0 {
+        value + "!"
+    } else {
+        value
+    }
+}
+
+/// One `! design/arch flow x: N overflowed edges` line per illegal route
+/// among `outcomes`, in table order; empty when every route is legal.
+fn illegal_lines<'a>(outcomes: impl IntoIterator<Item = &'a DesignOutcome>) -> String {
+    let mut s = String::new();
+    for o in outcomes {
+        for r in [&o.flow_a, &o.flow_b] {
+            if r.route_overflow > 0 {
+                s.push_str(&format!(
+                    "! {}/{} {}: {} overflowed edges\n",
+                    o.design, o.arch, r.variant, r.route_overflow
+                ));
+            }
+        }
+    }
+    s
 }
 
 /// All outcomes for the 4 designs × 2 architectures evaluation matrix,
@@ -246,8 +272,18 @@ impl Matrix {
             .find(|o| o.design == name && o.arch == arch)
     }
 
+    /// The paper's (design, arch) outcomes present in this matrix, in
+    /// table order: each design, granular before LUT.
+    fn paper_pairs(&self) -> Vec<(NamedDesign, &DesignOutcome, &DesignOutcome)> {
+        NamedDesign::ALL
+            .into_iter()
+            .filter_map(|d| Some((d, self.get(d, "granular")?, self.get(d, "lut")?)))
+            .collect()
+    }
+
     /// Formats Table 1: die area (µm²) per design × {granular, LUT} ×
-    /// {flow a, flow b}.
+    /// {flow a, flow b}. A `!` marks an illegal route; one line per such
+    /// cell follows the table.
     pub fn table1(&self) -> String {
         let mut s = String::new();
         s.push_str("Table 1: Area comparison (die area, µm²)\n");
@@ -255,24 +291,25 @@ impl Matrix {
             "{:16} {:>12} {:>12} {:>12} {:>12}\n",
             "Design", "gran flow a", "gran flow b", "lut flow a", "lut flow b"
         ));
-        for design in NamedDesign::ALL {
-            let (Some(g), Some(l)) = (self.get(design, "granular"), self.get(design, "lut")) else {
-                continue;
-            };
+        let pairs = self.paper_pairs();
+        let area = |r: &FlowResult| cell(format!("{:.0}", r.die_area), r);
+        for &(design, g, l) in &pairs {
             s.push_str(&format!(
-                "{:16} {:>12.0} {:>12.0} {:>12.0} {:>12.0}\n",
+                "{:16} {:>12} {:>12} {:>12} {:>12}\n",
                 design.name(),
-                g.flow_a.die_area,
-                g.flow_b.die_area,
-                l.flow_a.die_area,
-                l.flow_b.die_area
+                area(&g.flow_a),
+                area(&g.flow_b),
+                area(&l.flow_a),
+                area(&l.flow_b)
             ));
         }
+        s.push_str(&illegal_lines(pairs.iter().flat_map(|&(_, g, l)| [g, l])));
         s
     }
 
     /// Formats Table 2: average slack over the top-10 critical paths (ps),
-    /// with the design gate counts, at the 500 ps cycle.
+    /// with the design gate counts, at the 500 ps cycle. Illegal routes
+    /// are marked as in [`Matrix::table1`].
     pub fn table2(&self) -> String {
         let mut s = String::new();
         s.push_str("Table 2: Timing comparison (avg slack of top-10 paths, ps; 500 ps cycle)\n");
@@ -280,27 +317,28 @@ impl Matrix {
             "{:16} {:>9} {:>12} {:>12} {:>12} {:>12}\n",
             "Design", "gates", "gran flow a", "gran flow b", "lut flow a", "lut flow b"
         ));
-        for design in NamedDesign::ALL {
-            let (Some(g), Some(l)) = (self.get(design, "granular"), self.get(design, "lut")) else {
-                continue;
-            };
+        let pairs = self.paper_pairs();
+        let slack = |r: &FlowResult| cell(format!("{:.1}", r.avg_top10_slack), r);
+        for &(design, g, l) in &pairs {
             s.push_str(&format!(
-                "{:16} {:>9.0} {:>12.1} {:>12.1} {:>12.1} {:>12.1}\n",
+                "{:16} {:>9.0} {:>12} {:>12} {:>12} {:>12}\n",
                 design.name(),
                 g.gates_nand2,
-                g.flow_a.avg_top10_slack,
-                g.flow_b.avg_top10_slack,
-                l.flow_a.avg_top10_slack,
-                l.flow_b.avg_top10_slack
+                slack(&g.flow_a),
+                slack(&g.flow_b),
+                slack(&l.flow_a),
+                slack(&l.flow_b)
             ));
         }
+        s.push_str(&illegal_lines(pairs.iter().flat_map(|&(_, g, l)| [g, l])));
         s
     }
 
     /// Formats one architecture's column of results for every design:
     /// die area and top-10 slack for both flow variants. This is how
     /// results for `--arch-file` fabrics (which have no column in the
-    /// paper's two tables) are reported.
+    /// paper's two tables) are reported. Illegal routes are marked as in
+    /// [`Matrix::table1`].
     pub fn arch_table(&self, arch: &str) -> String {
         let mut s = String::new();
         s.push_str(&format!(
@@ -310,20 +348,23 @@ impl Matrix {
             "{:16} {:>9} {:>12} {:>12} {:>12} {:>12}\n",
             "Design", "gates", "area flow a", "area flow b", "slack a", "slack b"
         ));
-        for design in NamedDesign::ALL {
-            let Some(o) = self.get(design, arch) else {
-                continue;
-            };
+        let rows: Vec<(NamedDesign, &DesignOutcome)> = NamedDesign::ALL
+            .into_iter()
+            .filter_map(|d| Some((d, self.get(d, arch)?)))
+            .collect();
+        for &(design, o) in &rows {
+            let (a, b) = (&o.flow_a, &o.flow_b);
             s.push_str(&format!(
-                "{:16} {:>9.0} {:>12.0} {:>12.0} {:>12.1} {:>12.1}\n",
+                "{:16} {:>9.0} {:>12} {:>12} {:>12} {:>12}\n",
                 design.name(),
                 o.gates_nand2,
-                o.flow_a.die_area,
-                o.flow_b.die_area,
-                o.flow_a.avg_top10_slack,
-                o.flow_b.avg_top10_slack
+                cell(format!("{:.0}", a.die_area), a),
+                cell(format!("{:.0}", b.die_area), b),
+                cell(format!("{:.1}", a.avg_top10_slack), a),
+                cell(format!("{:.1}", b.avg_top10_slack), b)
             ));
         }
+        s.push_str(&illegal_lines(rows.iter().map(|&(_, o)| o)));
         s
     }
 
@@ -338,7 +379,11 @@ impl Matrix {
             let _ = writeln!(s, "{} / {} — front-end", o.design, o.arch);
             s.push_str(&render_stages(&o.front_stages, "  "));
             for result in [&o.flow_a, &o.flow_b] {
-                let _ = writeln!(s, "{} / {} — {}", o.design, o.arch, result.variant);
+                let _ = write!(s, "{} / {} — {}", o.design, o.arch, result.variant);
+                if result.route_overflow > 0 {
+                    let _ = write!(s, " — route overflow {} edges", result.route_overflow);
+                }
+                s.push('\n');
                 s.push_str(&render_stages(&result.stages, "  "));
             }
         }
@@ -538,6 +583,67 @@ impl std::fmt::Display for Claims {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn result(variant: FlowVariant, route_overflow: usize) -> FlowResult {
+        FlowResult {
+            variant,
+            die_area: 1000.0,
+            avg_top10_slack: -12.5,
+            worst_slack: 0.0,
+            critical_delay: 0.0,
+            wirelength: 0.0,
+            power_mw: 0.0,
+            cells: 1,
+            array: None,
+            route_overflow,
+            stages: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn illegal_routes_are_marked_in_every_table() {
+        let outcome = |design: NamedDesign, arch: &str, overflow_b: usize| DesignOutcome {
+            design: design_key(design).to_owned(),
+            arch: arch.to_owned(),
+            gates_nand2: 10.0,
+            compaction: None,
+            front_stages: Vec::new(),
+            flow_a: result(FlowVariant::A, 0),
+            flow_b: result(FlowVariant::B, overflow_b),
+        };
+        let matrix = Matrix::from_outcomes(
+            NamedDesign::ALL
+                .into_iter()
+                .flat_map(|d| {
+                    let overflow = if d == NamedDesign::NetworkSwitch {
+                        554
+                    } else {
+                        0
+                    };
+                    [outcome(d, "granular", overflow), outcome(d, "lut", 0)]
+                })
+                .collect(),
+        );
+        let line = "! network_switch/granular flow b: 554 overflowed edges\n";
+        // One marked cell plus the trailing line; the arch table marks
+        // both the area and the slack of the illegal result.
+        for (table, marks) in [
+            (matrix.table1(), 2),
+            (matrix.table2(), 2),
+            (matrix.arch_table("granular"), 3),
+        ] {
+            assert!(table.ends_with(line), "{table}");
+            assert_eq!(table.matches('!').count(), marks, "{table}");
+        }
+        let lut = matrix.arch_table("lut");
+        assert!(!lut.contains('!'), "{lut}");
+        let stats = matrix.stats_report();
+        assert!(
+            stats.contains("network_switch / granular — flow b — route overflow 554 edges\n"),
+            "{stats}"
+        );
+        assert_eq!(stats.matches("route overflow").count(), 1, "{stats}");
+    }
 
     #[test]
     fn resilient_run_matches_strict_when_healthy() {

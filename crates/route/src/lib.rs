@@ -8,9 +8,15 @@
 //! delays of `vpga-timing`; this is the post-layout extraction step of the
 //! paper's flow.
 //!
-//! Two-pin connections are A*-routed driver→sink with free reuse of the
-//! net's own earlier branches, so multi-fanout nets form Steiner-like
-//! trees.
+//! Each net grows one tree (multi-source PathFinder, McMurchie & Ebeling,
+//! FPGA'95): sinks are taken nearest-first by Manhattan distance from the
+//! driver, and each sink's A* search starts from every tile already in
+//! the tree at cost 0, so multi-fanout nets form Steiner-like trees. A
+//! search never leaves the net's bounding box grown by 3 tiles. Edge
+//! costs are at least 1, so the Manhattan heuristic is consistent and
+//! each search expands a tile at most once; on an uncongested grid each
+//! sink joins the tree at its Manhattan distance from the nearest tree
+//! tile.
 //!
 //! Negotiation is *incremental* by default: the first iteration routes
 //! every net, and later iterations rip up and re-route only the *dirty*
@@ -115,6 +121,7 @@ pub struct RoutingResult {
     grid_dims: (usize, usize),
     nets_routed: usize,
     reroutes_per_iter: Vec<usize>,
+    astar_pops_per_iter: Vec<u64>,
     routes: Option<std::collections::HashMap<NetId, Vec<RouteSegment>>>,
 }
 
@@ -176,6 +183,12 @@ impl RoutingResult {
         self.reroutes_per_iter.iter().sum()
     }
 
+    /// A* heap pops in each negotiation iteration — the search work,
+    /// deterministic for a given netlist, placement and config.
+    pub fn astar_pops_per_iteration(&self) -> &[u64] {
+        &self.astar_pops_per_iter
+    }
+
     /// The routed tile-to-tile segments of a net, if
     /// [`RouteConfig::keep_routes`] was set. Segments are in discovery
     /// order; each is a pair of adjacent `(col, row)` tiles.
@@ -228,11 +241,11 @@ impl Grid {
         (c, r)
     }
 
-    /// Flattens the tile adjacency into a CSR [`Adjacency`], preserving
-    /// the historical neighbor order (east, west, north, south) so the A*
-    /// heap insertion sequence — and therefore every tie-break — is
-    /// unchanged. Built once per routing run; the search loop then walks
-    /// flat arrays instead of allocating a neighbor `Vec` per tile visit.
+    /// Flattens the tile adjacency into a CSR [`Adjacency`] with a fixed
+    /// neighbor order (east, west, north, south), which decides between
+    /// equal-cost parents. Built once per routing run; the search loop
+    /// then walks flat arrays instead of allocating a neighbor `Vec` per
+    /// tile visit.
     fn adjacency(&self) -> Adjacency {
         let n = self.cols * self.rows;
         let mut off = Vec::with_capacity(n + 1);
@@ -274,19 +287,35 @@ struct Adjacency {
     edge: Vec<u32>,
 }
 
-#[derive(PartialEq)]
+/// A search frontier entry over flat tile indices. The heap pops the
+/// smallest `f = g + h` first; among equal `f` the deeper entry (larger
+/// `g`, nearer the sink), then the lower tile index. That is a total
+/// order on the entries, so the pop sequence never depends on how
+/// `BinaryHeap` breaks ties.
 struct HeapEntry {
-    priority: f64,
-    cost: f64,
-    tile: (usize, usize),
+    f: f64,
+    g: f64,
+    tile: u32,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
 }
 
 impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on priority.
-        other.priority.total_cmp(&self.priority)
+        // `BinaryHeap` is a max-heap: invert `f` and `tile`, keep `g`.
+        // `f` and `g` are finite and non-negative, so their bit patterns
+        // order like the values and compare as plain integers.
+        (other.f.to_bits(), self.g.to_bits(), other.tile).cmp(&(
+            self.f.to_bits(),
+            other.g.to_bits(),
+            self.tile,
+        ))
     }
 }
 
@@ -296,39 +325,85 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Reusable A* state: per-tile cost/parent tables and the per-net edge
-/// ownership marks, all invalidated by bumping an epoch counter instead of
-/// clearing — one allocation per routing run, none per search.
+/// Tiles a net's bounding box is grown by on every side before it bounds
+/// that net's searches (VPR's `bb_factor`).
+const BBOX_MARGIN: usize = 3;
+
+/// An inclusive tile rectangle `[c0, c1] × [r0, r1]`.
+#[derive(Clone, Copy)]
+struct TileBox {
+    c0: u32,
+    c1: u32,
+    r0: u32,
+    r1: u32,
+}
+
+impl TileBox {
+    fn contains(&self, (c, r): (u32, u32)) -> bool {
+        self.c0 <= c && c <= self.c1 && self.r0 <= r && r <= self.r1
+    }
+}
+
+/// One tile's search state. `stamp` is `2 * epoch` once the current
+/// search reached the tile and `2 * epoch + 1` once it expanded it;
+/// `g` and `from` are valid only in those two states.
+#[derive(Clone, Copy)]
+struct TileState {
+    /// Best-known cost from the net's tree.
+    g: f64,
+    stamp: u64,
+    /// Parent tile + incoming edge (meaningless for tree tiles).
+    from: (u32, u32),
+}
+
+/// Reusable search state: per-tile search records and the current net's
+/// tree, all invalidated by bumping an epoch counter instead of clearing
+/// — one allocation per routing run, none per search.
 struct Scratch {
-    /// Best-known cost per tile, valid only where `stamp == epoch`.
-    best: Vec<f64>,
-    /// Parent tile + incoming edge per tile, valid where `stamp == epoch`.
-    from: Vec<((usize, usize), usize)>,
-    /// Per-tile epoch stamp for `best`/`from`.
-    stamp: Vec<u64>,
-    /// Per-edge epoch mark: `own_mark[e] == net_epoch` ⇔ edge `e` belongs
-    /// to the net currently being routed.
-    own_mark: Vec<u64>,
+    tiles: Vec<TileState>,
+    /// `tree_mark[t] == net_epoch` ⇔ tile `t` is in the tree of the net
+    /// currently being routed.
+    tree_mark: Vec<u64>,
+    /// The current net's tree tiles in insertion order: every search of
+    /// the net starts from all of them at cost 0.
+    tree: Vec<u32>,
     /// Search epoch (bumped per A* call).
     epoch: u64,
-    /// Ownership epoch (bumped per net).
+    /// Tree epoch (bumped per net).
     net_epoch: u64,
-    /// The search frontier, drained empty by every call.
+    /// The search frontier, cleared by every call.
     heap: BinaryHeap<HeapEntry>,
+    /// Heap pops since the counter was last taken.
+    pops: u64,
 }
 
 impl Scratch {
-    fn new(n_tiles: usize, n_edges: usize) -> Scratch {
+    fn new(n_tiles: usize) -> Scratch {
         Scratch {
-            best: vec![f64::INFINITY; n_tiles],
-            from: vec![((0, 0), 0); n_tiles],
-            stamp: vec![0; n_tiles],
-            own_mark: vec![0; n_edges],
+            tiles: vec![
+                TileState {
+                    g: f64::INFINITY,
+                    stamp: 0,
+                    from: (0, 0),
+                };
+                n_tiles
+            ],
+            tree_mark: vec![0; n_tiles],
+            tree: Vec::new(),
             epoch: 0,
             net_epoch: 0,
             heap: BinaryHeap::new(),
+            pops: 0,
         }
     }
+}
+
+/// PathFinder's edge cost: base 1, plus the present-congestion penalty
+/// for the track this net would add, plus the accumulated history. Never
+/// below 1, so the unit Manhattan heuristic is admissible.
+fn edge_cost(occupancy: u32, history: f64, config: &RouteConfig) -> f64 {
+    let over = occupancy as f64 + 1.0 - config.channel_capacity as f64;
+    1.0 + config.present_factor * over.max(0.0) + history
 }
 
 /// Routes every multi-tile net of the placed netlist.
@@ -376,12 +451,16 @@ pub fn try_route(
         x0: die.x0,
         y0: die.y0,
     };
+    let idx = |(c, r): (usize, usize)| (r * grid.cols + c) as u32;
     // Collect routable nets: ≥2 placed pins spanning ≥2 tiles; skip
     // constant-driven nets.
     struct Job {
         net: NetId,
         source: (usize, usize),
+        /// Distinct sink tiles, nearest to the source first.
         sinks: Vec<(usize, usize)>,
+        /// The pins' bounding box grown by [`BBOX_MARGIN`].
+        bbox: TileBox,
     }
     let mut jobs: Vec<Job> = Vec::new();
     let mut net_length = vec![0.0f64; netlist.net_capacity()];
@@ -412,23 +491,43 @@ pub fn try_route(
                 }
             }
         }
-        if !sinks.is_empty() {
-            jobs.push(Job { net, source, sinks });
+        if sinks.is_empty() {
+            continue;
         }
+        sinks.sort_by_key(|&(c, r)| c.abs_diff(source.0) + r.abs_diff(source.1));
+        let (mut c0, mut c1, mut r0, mut r1) = (source.0, source.0, source.1, source.1);
+        for &(c, r) in &sinks {
+            (c0, c1, r0, r1) = (c0.min(c), c1.max(c), r0.min(r), r1.max(r));
+        }
+        let bbox = TileBox {
+            c0: c0.saturating_sub(BBOX_MARGIN) as u32,
+            c1: (c1 + BBOX_MARGIN).min(grid.cols - 1) as u32,
+            r0: r0.saturating_sub(BBOX_MARGIN) as u32,
+            r1: (r1 + BBOX_MARGIN).min(grid.rows - 1) as u32,
+        };
+        jobs.push(Job {
+            net,
+            source,
+            sinks,
+            bbox,
+        });
     }
     // Negotiated congestion loop. Iteration 1 routes everything; later
     // iterations rip up only the dirty nets (paths crossing over-capacity
-    // edges) unless `config.incremental` is off.
+    // edges) unless `config.incremental` is off. `cost` caches
+    // `edge_cost` per edge and is refreshed wherever occupancy or
+    // history changes.
     let n_edges = grid.num_edges();
-    let n_tiles = grid.cols * grid.rows;
     let adj = grid.adjacency();
     let mut history = vec![0.0f64; n_edges];
     let mut occupancy = vec![0u32; n_edges];
+    let mut cost = vec![edge_cost(0, 0.0, config); n_edges];
     let mut net_edges: Vec<Vec<usize>> = (0..jobs.len()).map(|_| Vec::new()).collect();
-    let mut scratch = Scratch::new(n_tiles, n_edges);
+    let mut scratch = Scratch::new(grid.cols * grid.rows);
     let mut own: Vec<usize> = Vec::new();
     let mut dirty: Vec<usize> = (0..jobs.len()).collect();
     let mut reroutes_per_iter: Vec<usize> = Vec::new();
+    let mut astar_pops_per_iter: Vec<u64> = Vec::new();
     let mut iterations_used = 0;
     for iter in 0..config.max_iterations.max(1) {
         iterations_used = iter + 1;
@@ -439,40 +538,44 @@ pub fn try_route(
         for &ji in &dirty {
             for &e in &net_edges[ji] {
                 occupancy[e] -= 1;
+                cost[e] = edge_cost(occupancy[e], history[e], config);
             }
         }
         for &ji in &dirty {
             let job = &jobs[ji];
             scratch.net_epoch += 1;
+            scratch.tree.clear();
+            scratch.tree.push(idx(job.source));
+            scratch.tree_mark[idx(job.source) as usize] = scratch.net_epoch;
             own.clear();
             for &sink in &job.sinks {
-                let reached = astar(
-                    &grid,
+                if !astar(
                     &adj,
-                    job.source,
-                    sink,
-                    &occupancy,
-                    &history,
+                    grid.cols,
+                    &job.bbox,
+                    idx(sink),
+                    &cost,
                     &mut scratch,
                     &mut own,
-                    config,
-                );
-                if !reached {
+                ) {
                     return Err(RouteError::Unroutable { net: job.net, sink });
                 }
             }
             for &e in &own {
                 occupancy[e] += 1;
+                cost[e] = edge_cost(occupancy[e], history[e], config);
             }
             net_edges[ji].clear();
             net_edges[ji].extend_from_slice(&own);
         }
+        astar_pops_per_iter.push(std::mem::take(&mut scratch.pops));
         // Overflow check and history update.
         let mut overflow = 0usize;
         for (e, &occ) in occupancy.iter().enumerate() {
             if occ > config.channel_capacity {
                 overflow += 1;
                 history[e] += config.history_increment * (occ - config.channel_capacity) as f64;
+                cost[e] = edge_cost(occ, history[e], config);
             }
         }
         if overflow == 0 {
@@ -520,90 +623,97 @@ pub fn try_route(
         grid_dims: (grid.cols, grid.rows),
         nets_routed: jobs.len(),
         reroutes_per_iter,
+        astar_pops_per_iter,
         routes,
     })
 }
 
-/// A* from any tile already owned by the net (starting at `source`) to
-/// `sink`; appends the path's new edges to `own` and marks them owned.
-/// All search state lives in `scratch`, invalidated by epoch bump —
-/// no per-call allocation. Returns `false` if the sink was unreachable
-/// (the net's tree is left unchanged in that case).
-#[allow(clippy::too_many_arguments)]
+/// Multi-source A* from the current net's whole tree (`scratch.tree`,
+/// every tile at cost 0) to `sink`, confined to `bbox`. Appends the
+/// path's edges to `own` and its tiles to the tree. Every edge costs at
+/// least 1, so the Manhattan distance to the sink is a consistent
+/// heuristic and each tile is expanded at most once. A sink already in
+/// the tree costs nothing. Returns `false` if the sink was unreachable
+/// (the tree is left unchanged in that case).
 fn astar(
-    grid: &Grid,
     adj: &Adjacency,
-    source: (usize, usize),
-    sink: (usize, usize),
-    occupancy: &[u32],
-    history: &[f64],
-    scratch: &mut Scratch,
+    cols: usize,
+    bbox: &TileBox,
+    sink: u32,
+    cost: &[f64],
+    s: &mut Scratch,
     own: &mut Vec<usize>,
-    config: &RouteConfig,
 ) -> bool {
-    let idx = |(c, r): (usize, usize)| r * grid.cols + c;
-    scratch.epoch += 1;
-    let epoch = scratch.epoch;
-    scratch.heap.clear();
-    let h = |(c, r): (usize, usize)| -> f64 { (c.abs_diff(sink.0) + r.abs_diff(sink.1)) as f64 };
-    scratch.best[idx(source)] = 0.0;
-    scratch.stamp[idx(source)] = epoch;
-    scratch.heap.push(HeapEntry {
-        priority: h(source),
-        cost: 0.0,
-        tile: source,
-    });
-    while let Some(entry) = scratch.heap.pop() {
-        if entry.cost > scratch.best[idx(entry.tile)] {
+    if s.tree_mark[sink as usize] == s.net_epoch {
+        return true;
+    }
+    s.epoch += 1;
+    let (seen, closed) = (2 * s.epoch, 2 * s.epoch + 1);
+    let (sc, sr) = (sink as usize % cols, sink as usize / cols);
+    let h = |c: usize, r: usize| (c.abs_diff(sc) + r.abs_diff(sr)) as f64;
+    // Heapify the seeds in one O(tree) pass rather than pushing each.
+    let mut seeds = std::mem::take(&mut s.heap).into_vec();
+    seeds.clear();
+    for &t in &s.tree {
+        let ti = t as usize;
+        s.tiles[ti].g = 0.0;
+        s.tiles[ti].stamp = seen;
+        seeds.push(HeapEntry {
+            f: h(ti % cols, ti / cols),
+            g: 0.0,
+            tile: t,
+        });
+    }
+    s.heap = BinaryHeap::from(seeds);
+    let mut reached = false;
+    while let Some(entry) = s.heap.pop() {
+        s.pops += 1;
+        let t = entry.tile as usize;
+        if s.tiles[t].stamp == closed {
             continue;
         }
+        s.tiles[t].stamp = closed;
         if entry.tile == sink {
+            reached = true;
             break;
         }
-        let lo = adj.off[idx(entry.tile)] as usize;
-        let hi = adj.off[idx(entry.tile) + 1] as usize;
-        for a in lo..hi {
-            let edge = adj.edge[a] as usize;
+        for a in adj.off[t] as usize..adj.off[t + 1] as usize {
             let (nc, nr) = adj.tile[a];
-            let (nc, nr) = (nc as usize, nr as usize);
-            let edge_cost = if scratch.own_mark[edge] == scratch.net_epoch {
-                0.0 // reuse of the net's own tree is free
-            } else {
-                let over = occupancy[edge] as f64 + 1.0 - config.channel_capacity as f64;
-                1.0 + config.present_factor * over.max(0.0) + history[edge]
-            };
-            let cost = entry.cost + edge_cost;
-            let t = (nc, nr);
-            if scratch.stamp[idx(t)] != epoch || cost < scratch.best[idx(t)] {
-                scratch.best[idx(t)] = cost;
-                scratch.stamp[idx(t)] = epoch;
-                scratch.from[idx(t)] = (entry.tile, edge);
-                scratch.heap.push(HeapEntry {
-                    priority: cost + h(t),
-                    cost,
-                    tile: t,
+            if !bbox.contains((nc, nr)) {
+                continue;
+            }
+            let n = nr as usize * cols + nc as usize;
+            let state = &mut s.tiles[n];
+            if state.stamp == closed {
+                continue;
+            }
+            let g = entry.g + cost[adj.edge[a] as usize];
+            if state.stamp != seen || g < state.g {
+                *state = TileState {
+                    g,
+                    stamp: seen,
+                    from: (entry.tile, adj.edge[a]),
+                };
+                s.heap.push(HeapEntry {
+                    f: g + h(nc as usize, nr as usize),
+                    g,
+                    tile: n as u32,
                 });
             }
         }
     }
-    // An unvisited sink means the search exhausted the frontier without
-    // reaching it: report failure rather than silently keeping a partial
-    // tree (the caller surfaces this as `RouteError::Unroutable`).
-    if sink != source && scratch.stamp[idx(sink)] != epoch {
+    if !reached {
         return false;
     }
-    // Walk back and collect the path's new edges into the net's tree.
-    let mut cur = sink;
-    while cur != source {
-        if scratch.stamp[idx(cur)] != epoch {
-            break;
-        }
-        let (prev, edge) = scratch.from[idx(cur)];
-        if scratch.own_mark[edge] != scratch.net_epoch {
-            scratch.own_mark[edge] = scratch.net_epoch;
-            own.push(edge);
-        }
-        cur = prev;
+    // Walk back to the first tree tile; every tile on the way is new to
+    // the tree, so every edge is too.
+    let mut cur = sink as usize;
+    while s.tree_mark[cur] != s.net_epoch {
+        s.tree_mark[cur] = s.net_epoch;
+        s.tree.push(cur as u32);
+        let (prev, edge) = s.tiles[cur].from;
+        own.push(edge as usize);
+        cur = prev as usize;
     }
     true
 }
@@ -789,6 +899,97 @@ mod tests {
                 r_full.total_reroutes()
             );
         }
+    }
+
+    /// On an uncongested grid every edge costs the same, so the
+    /// multi-source search joins each sink to the tree at its Manhattan
+    /// distance from the nearest tile already in the tree, sinks taken
+    /// nearest-first from the driver.
+    #[test]
+    fn each_sink_joins_the_tree_at_its_manhattan_distance() {
+        let lib = generic::library();
+        let mut nl = Netlist::new("fanout");
+        let a = nl.add_input("a");
+        // Sink tiles at distinct distances from the driver tile (1, 1).
+        let sinks = [
+            (10, 2),
+            (2, 9),
+            (9, 9),
+            (5, 5),
+            (11, 6),
+            (3, 11),
+            (7, 1),
+            (6, 10),
+        ];
+        let gates: Vec<_> = (0..sinks.len())
+            .map(|i| {
+                let g = nl.add_lib_cell(format!("g{i}"), &lib, "INV", &[a]).unwrap();
+                (g, nl.add_output(format!("y{i}"), g))
+            })
+            .collect();
+        let mut p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let die = p.die();
+        let tile = die.width().min(die.height()) / 12.0;
+        let centre = |(c, r): (usize, usize)| {
+            (
+                die.x0 + (c as f64 + 0.5) * tile,
+                die.y0 + (r as f64 + 0.5) * tile,
+            )
+        };
+        let (x, y) = centre((1, 1));
+        p.set_position(nl.inputs()[0], x, y);
+        for (&(g, out), &t) in gates.iter().zip(&sinks) {
+            let (x, y) = centre(t);
+            p.set_position(nl.driver(g).unwrap(), x, y);
+            p.set_position(out, x, y);
+        }
+        let cfg = RouteConfig {
+            tile_size: Some(tile),
+            keep_routes: true,
+            ..RouteConfig::default()
+        };
+        let r = route(&nl, &lib, &p, &cfg);
+        assert_eq!(r.overflow_edges(), 0);
+        let segments = r.net_route(a).expect("the fanout net is routed");
+        // Replay the tree sink by sink: each sink's segments lead from it
+        // back to the tree, one hop per tile.
+        let mut order = sinks.to_vec();
+        order.sort_by_key(|&(c, r)| c.abs_diff(1) + r.abs_diff(1));
+        let mut tree = vec![(1, 1)];
+        let mut next = segments.iter();
+        for sink in order {
+            let nearest = tree
+                .iter()
+                .map(|&(c, r): &(usize, usize)| c.abs_diff(sink.0) + r.abs_diff(sink.1))
+                .min()
+                .unwrap();
+            let mut cur = sink;
+            let mut added = 0;
+            while !tree.contains(&cur) {
+                let &(u, v) = next.next().expect("a segment per added hop");
+                assert!(
+                    u == cur || v == cur,
+                    "hop {:?} does not leave {cur:?}",
+                    (u, v)
+                );
+                tree.push(cur);
+                cur = if u == cur { v } else { u };
+                added += 1;
+            }
+            assert_eq!(added, nearest, "sink {sink:?}");
+        }
+        assert!(next.next().is_none(), "no segment beyond the sinks' paths");
+    }
+
+    #[test]
+    fn astar_pops_repeat_exactly() {
+        let (nl, p, tight) = congested();
+        let lib = generic::library();
+        let r1 = route(&nl, &lib, &p, &tight);
+        let r2 = route(&nl, &lib, &p, &tight);
+        assert_eq!(r1.astar_pops_per_iteration().len(), r1.iterations_used());
+        assert!(r1.astar_pops_per_iteration()[0] > 0);
+        assert_eq!(r1.astar_pops_per_iteration(), r2.astar_pops_per_iteration());
     }
 
     #[test]
