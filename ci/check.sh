@@ -9,11 +9,12 @@
 #   5. cargo test                 (whole workspace)
 #   6. cargo test --features fault-inject   (fault-injection harness)
 #   7. audited tiny matrix        (debug assertions + inter-stage auditors)
-#   8. medium legality guard      (only network_switch flow b may route illegally)
-#   9. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
-#  10. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  11. paper-scale golden        (network_switch/granular; only when VPGA_PAPER_SMOKE=1)
-#  12. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
+#   8. tiny matrix with --stats   (route counters printed, golden unperturbed)
+#   9. medium legality guard      (only network_switch flow b may route illegally)
+#  10. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
+#  11. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
+#  12. paper-scale golden        (network_switch/granular; only when VPGA_PAPER_SMOKE=1)
+#  13. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
 # vendored as path crates under vendor/, so every step works offline.
@@ -62,6 +63,23 @@ audited=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --audit \
     | grep '^matrix fingerprint:')
 if [ "$audited" != "$golden" ]; then
     echo "error: audited matrix diverged from the golden: '$audited' != '$golden'" >&2
+    exit 1
+fi
+
+step "tiny matrix with --stats (route counters printed, golden unperturbed)"
+# Every route record must carry its negotiation-iteration counter, and
+# printing stats must not move the fingerprint: the router's iteration
+# and search counters are shown-only.
+stats=$(target/release/vpga matrix --size tiny --stats)
+route_lines=$(printf '%s\n' "$stats" | grep -c '^  route ' || true)
+iter_lines=$(printf '%s\n' "$stats" | grep '^  route ' | grep -c 'route_iterations=' || true)
+if [ "$route_lines" != 16 ] || [ "$iter_lines" != 16 ]; then
+    echo "error: expected 16 route lines with route_iterations=, got $iter_lines of $route_lines" >&2
+    exit 1
+fi
+fp=$(printf '%s\n' "$stats" | grep '^matrix fingerprint:')
+if [ "$fp" != "$golden" ]; then
+    echo "error: --stats matrix diverged from the golden: '$fp' != '$golden'" >&2
     exit 1
 fi
 

@@ -37,7 +37,7 @@ use crate::error::FlowError;
 use crate::faultpoint;
 use crate::pipeline::FlowResult;
 use crate::stages::FrontArtifacts;
-use crate::stats::{StageId, StageStats};
+use crate::stats::{Counter, StageId, StageStats};
 
 /// Size of the framed header preceding the payload: magic, kind,
 /// completed count, config fingerprint, payload length.
@@ -48,7 +48,7 @@ const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 /// fields under a still-valid digest — and whenever the flow computes
 /// different results under an unchanged config fingerprint, as when the
 /// router's search kernel changed, so stale results are recomputed.
-const MAGIC: &[u8; 8] = b"VPGACKP3";
+const MAGIC: &[u8; 8] = b"VPGACKP4";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -122,25 +122,18 @@ fn encode_stats(w: &mut Writer, s: &StageStats) {
     w.u64(s.wall.as_nanos() as u64);
     w.usize(s.cells);
     w.usize(s.nets);
-    w.opt(s.cost_before, Writer::f64);
-    w.opt(s.cost_after, Writer::f64);
-    w.opt(s.moves_attempted, Writer::u64);
-    w.opt(s.moves_accepted, Writer::u64);
-    w.opt(s.bbox_incremental, Writer::u64);
-    w.opt(s.bbox_full, Writer::u64);
-    w.opt(s.nets_rerouted, Writer::u64);
-    w.opt(s.nets_total, Writer::u64);
-    w.opt(s.retries, Writer::u32);
-    w.opt(s.sta_full, Writer::u64);
-    w.opt(s.sta_incremental, Writer::u64);
-    w.opt(s.sta_nodes_touched, Writer::u64);
-    w.opt(s.cache_hits, Writer::u64);
-    w.opt(s.cache_misses, Writer::u64);
-    w.opt(s.cache_evicted, Writer::u64);
-    w.opt(s.repack_regions_reused, Writer::u64);
-    w.opt(s.repack_subtrees_dirty, Writer::u64);
-    w.opt(s.swap_delta_evals, Writer::u64);
-    w.opt(s.swap_bbox_rescans, Writer::u64);
+    w.opt(s.cost, |w, (before, after)| {
+        w.f64(before);
+        w.f64(after);
+    });
+    // Each slot is written as an option, absent when zero: most counters
+    // are zero in any one stage, and fixed-width slots would grow every
+    // cached payload enough to cost the daemon's cache extra evictions.
+    w.usize(Counter::COUNT);
+    for &c in Counter::ALL {
+        let v = s.get(c);
+        w.opt((v != 0).then_some(v), Writer::u64);
+    }
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
@@ -148,26 +141,17 @@ fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
     let wall = std::time::Duration::from_nanos(r.u64()?);
     let cells = r.usize()?;
     let nets = r.usize()?;
+    let cost = r.opt(|r| Some((r.f64()?, r.f64()?)))?;
+    // A counter table of another length was written by another build's
+    // `Counter` list: fail closed rather than shift counters.
+    if r.usize()? != Counter::COUNT {
+        return None;
+    }
     let mut s = StageStats::new(stage, wall, cells, nets);
-    s.cost_before = r.opt(Reader::f64)?;
-    s.cost_after = r.opt(Reader::f64)?;
-    s.moves_attempted = r.opt(Reader::u64)?;
-    s.moves_accepted = r.opt(Reader::u64)?;
-    s.bbox_incremental = r.opt(Reader::u64)?;
-    s.bbox_full = r.opt(Reader::u64)?;
-    s.nets_rerouted = r.opt(Reader::u64)?;
-    s.nets_total = r.opt(Reader::u64)?;
-    s.retries = r.opt(Reader::u32)?;
-    s.sta_full = r.opt(Reader::u64)?;
-    s.sta_incremental = r.opt(Reader::u64)?;
-    s.sta_nodes_touched = r.opt(Reader::u64)?;
-    s.cache_hits = r.opt(Reader::u64)?;
-    s.cache_misses = r.opt(Reader::u64)?;
-    s.cache_evicted = r.opt(Reader::u64)?;
-    s.repack_regions_reused = r.opt(Reader::u64)?;
-    s.repack_subtrees_dirty = r.opt(Reader::u64)?;
-    s.swap_delta_evals = r.opt(Reader::u64)?;
-    s.swap_bbox_rescans = r.opt(Reader::u64)?;
+    s.cost = cost;
+    for &c in Counter::ALL {
+        s = s.with(c, r.opt(Reader::u64)?.unwrap_or(0));
+    }
     Some(s)
 }
 
@@ -450,7 +434,7 @@ impl CheckpointStore {
             *slot = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         }
         if magic != *MAGIC {
-            return Err(fail(0, "bad magic (not a VPGACKP3 checkpoint)"));
+            return Err(fail(0, "bad magic (not a VPGACKP4 checkpoint)"));
         }
         let got_kind = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         if got_kind != kind {
@@ -712,16 +696,46 @@ mod tests {
 
     #[test]
     fn stats_round_trip_exactly() {
-        let s = StageStats::new(StageId::Place, std::time::Duration::from_millis(7), 10, 20)
-            .with_cost(3.5, 1.25)
-            .with_moves(100, 40)
-            .with_retries(2)
-            .with_sta(1, 9, 123);
+        let s = Counter::ALL.iter().zip(1..).fold(
+            StageStats::new(StageId::Place, std::time::Duration::from_millis(7), 10, 20)
+                .with_cost(3.5, 1.25),
+            |s, (&c, v)| s.with(c, v * 1_000_003),
+        );
         let mut w = Writer::new();
         encode_stats(&mut w, &s);
         let bytes = w.into_bytes();
-        let back = decode_stats(&mut Reader::new(&bytes)).unwrap();
+        let mut r = Reader::new(&bytes);
+        let back = decode_stats(&mut r).unwrap();
+        assert!(r.done());
         assert_eq!(back, s);
+        for &c in Counter::ALL {
+            assert_ne!(back.get(c), 0, "{}", c.name());
+        }
+    }
+
+    /// A counter section whose length is not `Counter::COUNT` came from a
+    /// different counter list and must not decode.
+    #[test]
+    fn counter_section_of_wrong_length_fails_closed() {
+        let s = StageStats::new(StageId::Route, std::time::Duration::ZERO, 1, 2);
+        for len in [Counter::COUNT - 1, Counter::COUNT, Counter::COUNT + 1] {
+            let mut w = Writer::new();
+            w.u8(6); // StageId::Route
+            w.u64(0);
+            w.usize(s.cells);
+            w.usize(s.nets);
+            w.opt(None::<f64>, Writer::f64);
+            w.usize(len);
+            for _ in 0..len {
+                w.opt(None::<u64>, Writer::u64);
+            }
+            let bytes = w.into_bytes();
+            let back = decode_stats(&mut Reader::new(&bytes));
+            assert_eq!(back.is_some(), len == Counter::COUNT, "length {len}");
+            if let Some(back) = back {
+                assert_eq!(back, s);
+            }
+        }
     }
 
     #[test]
@@ -810,10 +824,11 @@ mod tests {
 
     /// Files of a previous format carry a digest that still validates,
     /// so only the tag keeps them from decoding: `VPGACKP1` files hold
-    /// shifted stage records, and `VPGACKP2` files hold results of the
+    /// shifted stage records, `VPGACKP2` files hold results of the
     /// driver-rooted router under a config fingerprint that did not
-    /// change. Retagged files must fail closed, and resuming over them
-    /// must recompute to the golden tiny matrix.
+    /// change, and `VPGACKP3` files hold per-field stage records instead
+    /// of the counter table. Retagged files must fail closed, and
+    /// resuming over them must recompute to the golden tiny matrix.
     #[test]
     fn previous_format_files_fail_closed_and_resume_recomputes() {
         use crate::report::Matrix;
@@ -825,7 +840,7 @@ mod tests {
         let store = CheckpointStore::new(&dir, false).unwrap();
         let first = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
         assert_eq!(first.fingerprint(), TINY_MATRIX_FINGERPRINT);
-        for old_tag in [b"VPGACKP1", b"VPGACKP2"] {
+        for old_tag in [b"VPGACKP1", b"VPGACKP2", b"VPGACKP3"] {
             let mut retagged = 0;
             for entry in std::fs::read_dir(&dir).unwrap() {
                 let path = entry.unwrap().path();

@@ -94,8 +94,8 @@ pub struct FlowConfig {
     /// Retry budget for the stochastic stages (place, pack, route): on a
     /// recoverable stage error, up to this many further attempts run with
     /// deterministically derived reseeds (see [`crate::derive_seed`]).
-    /// Consumed retries are recorded in
-    /// [`crate::StageStats::retries`], so a recovered run's fingerprint is
+    /// Consumed retries are recorded as
+    /// [`crate::Counter::Retries`], so a recovered run's fingerprint is
     /// reproducible but distinct from a first-try run's.
     pub retries: usize,
     /// Wall-clock budget per pipeline invocation (the shared front-end and

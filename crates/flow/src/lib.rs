@@ -62,7 +62,7 @@ pub use faultpoint::FaultKind;
 pub use pipeline::{run_design, DesignOutcome, FlowResult};
 pub use report::{CellFailure, Claims, Matrix};
 pub use service::{CachedFlow, JobEvent, JobOutcome, ServiceJob};
-pub use stats::{StageId, StageStats};
+pub use stats::{Counter, StageId, StageStats};
 
 /// Backwards-compatible alias: the stage enum was renamed to
 /// [`StageId`] when the `Stage` *trait* took the primary name.

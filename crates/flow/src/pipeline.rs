@@ -237,7 +237,7 @@ pub fn run_design(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::StageId;
+    use crate::stats::{Counter, StageId};
     use vpga_designs::{DesignParams, NamedDesign};
 
     #[test]
@@ -324,14 +324,16 @@ mod tests {
         );
         // Annealing stages must not worsen their own cost.
         for s in out.front_stages.iter().chain(&out.flow_b.stages) {
-            if let (Some(before), Some(after)) = (s.cost_before, s.cost_after) {
+            if let Some((before, after)) = s.cost {
                 if matches!(s.stage, StageId::Place | StageId::PhysSynth | StageId::Swap) {
                     assert!(after <= before + 1e-6, "{}: {before} → {after}", s.stage);
                 }
             }
-            if let (Some(att), Some(acc)) = (s.moves_attempted, s.moves_accepted) {
-                assert!(acc <= att, "{}: accepted {acc} > attempted {att}", s.stage);
-            }
+            let (att, acc) = (
+                s.get(Counter::MovesAttempted),
+                s.get(Counter::MovesAccepted),
+            );
+            assert!(acc <= att, "{}: accepted {acc} > attempted {att}", s.stage);
         }
     }
 

@@ -52,7 +52,7 @@ use crate::pipeline::{front_ctx, job_ctx, DesignOutcome, FlowResult, FrontEnd};
 use crate::stages::{
     back_plan, front_plan, run_back_stage, run_front_stage, BackArtifacts, FrontArtifacts, StageEnv,
 };
-use crate::stats::{clear_stage, current_stage, StageId, StageStats};
+use crate::stats::{clear_stage, current_stage, Counter, StageId, StageStats};
 use crate::CheckpointStore;
 
 /// One flow job as submitted to the daemon.
@@ -177,7 +177,11 @@ pub fn pair_outcomes(outcomes: &[JobOutcome]) -> Vec<DesignOutcome> {
 /// only; `fold_fingerprint` excludes them).
 fn tag_cache(mut stages: Vec<StageStats>, hits: u64, misses: u64, evicted: u64) -> Vec<StageStats> {
     if let Some(first) = stages.first_mut() {
-        *first = first.clone().with_cache(hits, misses, evicted);
+        *first = first
+            .clone()
+            .with(Counter::CacheHits, hits)
+            .with(Counter::CacheMisses, misses)
+            .with(Counter::CacheEvicted, evicted);
     }
     stages
 }

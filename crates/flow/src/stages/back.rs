@@ -13,7 +13,7 @@ use crate::audit::{self, AuditError};
 use crate::clock::derive_seed;
 use crate::config::FlowVariant;
 use crate::error::FlowError;
-use crate::stats::{StageId, StageStats};
+use crate::stats::{Counter, StageId, StageStats};
 
 /// The back-end stage plan for `variant`.
 pub(crate) fn back_plan(variant: FlowVariant) -> &'static [StageId] {
@@ -107,12 +107,17 @@ impl Stage<BackArtifacts<'_>> for PackStage {
         )?;
         let stats = StageStats::new(StageId::Pack, Duration::ZERO, front.cells, nets(netlist))
             .with_cost(hpwl_before, b_placement.total_hpwl(netlist))
-            .with_moves(
+            .with(
+                Counter::MovesAttempted,
                 pack_stats.relocations + pack_stats.spilled,
-                pack_stats.relocations,
             )
-            .with_repack(pack_stats.regions_reused, pack_stats.subtrees_repartitioned)
-            .with_sta(0, 1, 0);
+            .with(Counter::MovesAccepted, pack_stats.relocations)
+            .with(Counter::RepackRegionsReused, pack_stats.regions_reused)
+            .with(
+                Counter::RepackSubtreesDirty,
+                pack_stats.subtrees_repartitioned,
+            )
+            .with(Counter::StaIncremental, 1);
         store.b_placement = Some(b_placement);
         store.array = Some(array);
         Ok(stats)
@@ -213,8 +218,10 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
         Ok(
             StageStats::new(StageId::Swap, Duration::ZERO, front.cells, nets(netlist))
                 .with_cost(swap_stats.cost_initial, swap_stats.cost_final)
-                .with_moves(swap_stats.moves_attempted, swap_stats.moves_accepted)
-                .with_swap_evals(swap_stats.delta_evals, swap_stats.bbox_rescans),
+                .with(Counter::MovesAttempted, swap_stats.moves_attempted)
+                .with(Counter::MovesAccepted, swap_stats.moves_accepted)
+                .with(Counter::SwapDeltaEvals, swap_stats.delta_evals)
+                .with(Counter::SwapBboxRescans, swap_stats.bbox_rescans),
         )
     }
 
@@ -277,9 +284,12 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
         let placement = store.routing_placement(self.variant);
         let routing = vpga_route::try_route(netlist, lib, placement, &cfg)?;
         let stats = StageStats::new(StageId::Route, Duration::ZERO, front.cells, nets(netlist))
-            .with_reroutes(
-                routing.total_reroutes() as u64,
-                routing.nets_routed() as u64,
+            .with(Counter::NetsRerouted, routing.total_reroutes() as u64)
+            .with(Counter::NetsTotal, routing.nets_routed() as u64)
+            .with(Counter::RouteIterations, routing.iterations_used() as u64)
+            .with(
+                Counter::AstarPops,
+                routing.astar_pops_per_iteration().iter().sum(),
             );
         store.routing = Some(routing);
         Ok(stats)
@@ -348,7 +358,7 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
             &vpga_timing::power::PowerConfig::default(),
         );
         let stats = StageStats::new(StageId::Timing, Duration::ZERO, front.cells, nets(netlist))
-            .with_sta(1, 0, 0);
+            .with(Counter::StaFull, 1);
         if env.config.emit.is_active() {
             crate::emit::emit_back_artifacts(
                 &env.config.emit,

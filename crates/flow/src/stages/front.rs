@@ -15,7 +15,7 @@ use crate::clock::derive_seed;
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::faultpoint;
-use crate::stats::{StageId, StageStats};
+use crate::stats::{Counter, StageId, StageStats};
 
 /// The front-end stage plan for `config` (compaction is optional).
 pub(crate) fn front_plan(config: &FlowConfig) -> Vec<StageId> {
@@ -204,15 +204,25 @@ impl Stage<FrontArtifacts> for PlaceStage {
             nets(netlist),
         )
         .with_cost(place_stats.cost_initial, place_stats.cost_final)
-        .with_moves(
+        .with(
+            Counter::MovesAttempted,
             place_stats.moves_attempted + refine_stats.moves_attempted,
+        )
+        .with(
+            Counter::MovesAccepted,
             place_stats.moves_accepted + refine_stats.moves_accepted,
         )
-        .with_bbox_updates(
+        .with(
+            Counter::BboxIncremental,
             place_stats.bbox_incremental + refine_stats.bbox_incremental,
+        )
+        .with(
+            Counter::BboxFull,
             place_stats.bbox_full + refine_stats.bbox_full,
         )
-        .with_sta(counters.full, counters.incremental, counters.nodes_touched);
+        .with(Counter::StaFull, counters.full)
+        .with(Counter::StaIncremental, counters.incremental)
+        .with(Counter::StaNodesTouched, counters.nodes_touched);
         store.placement = Some(placement);
         store.weighted = Some(weighted);
         store.sta = Some(sta);
@@ -304,12 +314,13 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
             nets(netlist),
         )
         .with_cost(legalize_stats.cost_initial, legalize_stats.cost_final)
-        .with_moves(
-            legalize_stats.moves_attempted,
-            legalize_stats.moves_accepted,
-        )
-        .with_bbox_updates(legalize_stats.bbox_incremental, legalize_stats.bbox_full)
-        .with_sta(delta.full, delta.incremental, delta.nodes_touched);
+        .with(Counter::MovesAttempted, legalize_stats.moves_attempted)
+        .with(Counter::MovesAccepted, legalize_stats.moves_accepted)
+        .with(Counter::BboxIncremental, legalize_stats.bbox_incremental)
+        .with(Counter::BboxFull, legalize_stats.bbox_full)
+        .with(Counter::StaFull, delta.full)
+        .with(Counter::StaIncremental, delta.incremental)
+        .with(Counter::StaNodesTouched, delta.nodes_touched);
         *buffer_trace = Some(buffer_edits);
         Ok(stats)
     }

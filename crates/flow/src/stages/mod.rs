@@ -35,7 +35,7 @@ use crate::clock::JobClock;
 use crate::config::FlowConfig;
 use crate::error::{retryable, FlowError};
 use crate::faultpoint;
-use crate::stats::{note_stage, StageId, StageStats};
+use crate::stats::{note_stage, Counter, StageId, StageStats};
 
 /// The intermediate products a stage graph threads between stages. Each
 /// kind names one typed slot of an artifact store; a stage's
@@ -196,10 +196,9 @@ pub(crate) fn run_stage<S: ArtifactStore>(
         "{id}: a declared output artifact was not produced"
     );
     debug_assert_eq!(stats.stage, id, "{id}: stats record names the wrong stage");
-    stages.push(StageStats {
-        wall: t.elapsed(),
-        ..stats.with_retries(attempt as u32)
-    });
+    let mut stats = stats.with(Counter::Retries, attempt as u64);
+    stats.wall = t.elapsed();
+    stages.push(stats);
     Ok(())
 }
 

@@ -3,11 +3,13 @@
 //! Every pipeline stage (synthesis, compaction, placement, physical
 //! synthesis, packing, PLB-swap optimization, routing, STA) records a
 //! [`StageStats`]: wall time, netlist size at the end of the stage, the
-//! optimizer's cost before/after, and mover/acceptance counters where the
-//! stage is an annealer (placement, swap) or a relocator (quadrisection
-//! packing). Wall time is the only non-deterministic field; everything
-//! else is bit-identical across runs and across worker counts, which the
-//! determinism tests pin via [`StageStats::fingerprint`].
+//! optimizer's cost before/after, and a table of [`Counter`]s — mover and
+//! bounding-box counts for the annealers, re-route and search work for the
+//! router, timer, cache and back-end shortcut counts. Two things vary
+//! between runs of the same job: wall time, and the cache counters, which
+//! depend on what the daemon's artifact cache held. Neither enters
+//! [`StageStats::fold_fingerprint`]; everything it folds is bit-identical
+//! across runs and across worker counts, which the determinism tests pin.
 
 use std::cell::Cell;
 use std::fmt;
@@ -92,7 +94,110 @@ impl fmt::Display for StageId {
     }
 }
 
-/// One stage's record: timing, sizes, cost movement, and mover counters.
+/// Marks a [`Counter`] that [`StageStats::fold_fingerprint`] mixes in.
+const FOLDED: bool = true;
+/// Marks a [`Counter`] that `--stats` shows but the fingerprint ignores.
+const SHOWN: bool = false;
+
+/// Declares [`Counter`] from one table: variant, display name, and
+/// whether the fingerprint folds it. Adding a counter is one line here.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $variant:ident = $name:literal, $folded:ident;)*) => {
+        /// A per-stage work counter, stored in [`StageStats`].
+        ///
+        /// Folded counters pin *which* result a stage produced: the
+        /// annealers' mover and bounding-box counts, the router's re-route
+        /// work, and consumed retries. Shown-only counters record *how* the
+        /// numbers were computed — the timer's strategy, cache hits,
+        /// bit-identical back-end shortcuts, and the router's iteration and
+        /// search effort (whose results the routed lengths already pin) —
+        /// so they stay out of the fingerprint: a cache-served job, or a
+        /// timer-strategy change, must not move a published fingerprint.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Every counter, in declaration order: the fingerprint fold,
+            /// `Display`, and the checkpoint codec all walk this order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),*];
+
+            /// How many counters there are.
+            pub const COUNT: usize = Counter::ALL.len();
+
+            /// The counter's `--stats` name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+
+            /// Whether [`StageStats::fold_fingerprint`] mixes the counter in.
+            pub fn folded(self) -> bool {
+                match self {
+                    $(Counter::$variant => $folded,)*
+                }
+            }
+        }
+    };
+}
+
+// The fold walks this table in order: reordering or re-flagging a folded
+// counter moves every published fingerprint (pinned by
+// `fold_of_fully_populated_record_is_pinned`), so new counters go last.
+counters! {
+    /// Move/relocation attempts, for annealing or relocating stages.
+    MovesAttempted = "moves_attempted", FOLDED;
+    /// Accepted moves/relocations.
+    MovesAccepted = "moves_accepted", FOLDED;
+    /// O(1) incremental bounding-box updates (annealing stages).
+    BboxIncremental = "bbox_incremental", FOLDED;
+    /// Full bounding-box rescans forced by a boundary pin moving inward.
+    BboxFull = "bbox_full", FOLDED;
+    /// Net routings summed over all negotiation iterations (routing
+    /// stages); full rip-up pays `nets × iterations`, dirty-net far less.
+    NetsRerouted = "nets_rerouted", FOLDED;
+    /// Routable nets the stage handled (routing stages).
+    NetsTotal = "nets_total", FOLDED;
+    /// Recovery retries the stage consumed before succeeding (stochastic
+    /// stages under `--retries`; folded so reseeded runs fingerprint
+    /// differently from first-try runs).
+    Retries = "retries", FOLDED;
+    /// Full (from-scratch) STA passes the stage ran.
+    StaFull = "sta_full", SHOWN;
+    /// Event-driven incremental STA updates/queries the stage ran.
+    StaIncremental = "sta_incremental", SHOWN;
+    /// Timing-graph nodes the incremental updates recomputed (full passes
+    /// do not count here).
+    StaNodesTouched = "sta_nodes_touched", SHOWN;
+    /// Stage results served from the shared artifact cache instead of
+    /// recomputed (daemon mode; zero in batch runs).
+    CacheHits = "cache_hits", SHOWN;
+    /// Stage results the cache had to compute (or recompute after an
+    /// eviction).
+    CacheMisses = "cache_misses", SHOWN;
+    /// Cache entries evicted under byte pressure while this job
+    /// published its artifacts.
+    CacheEvicted = "cache_evicted", SHOWN;
+    /// Leaf regions whose previous-pass seating the §3.1 repack loop
+    /// replayed verbatim (packing stages; zero for single-pass packs).
+    RepackRegionsReused = "repack_regions_reused", SHOWN;
+    /// Leaf regions the repack loop re-seated because their item
+    /// membership changed.
+    RepackSubtreesDirty = "repack_subtrees_dirty", SHOWN;
+    /// Swap evaluations answered by an incremental bounding-box update
+    /// (swap stages; zero when the direct engine ran).
+    SwapDeltaEvals = "swap_delta_evals", SHOWN;
+    /// Swap evaluations that fell back to a full net-pin rescan.
+    SwapBboxRescans = "swap_bbox_rescans", SHOWN;
+    /// PathFinder negotiation iterations the router ran (routing stages).
+    RouteIterations = "route_iterations", SHOWN;
+    /// A* heap pops summed over every negotiation iteration.
+    AstarPops = "astar_pops", SHOWN;
+}
+
+/// One stage's record: timing, sizes, cost movement, and work counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageStats {
     /// Which stage this describes.
@@ -103,183 +208,51 @@ pub struct StageStats {
     pub cells: usize,
     /// Net count at the end of the stage.
     pub nets: usize,
-    /// Optimizer cost entering the stage, if the stage optimizes one.
-    pub cost_before: Option<f64>,
-    /// Optimizer cost leaving the stage.
-    pub cost_after: Option<f64>,
-    /// Move/relocation attempts, for annealing or relocating stages.
-    pub moves_attempted: Option<u64>,
-    /// Accepted moves/relocations.
-    pub moves_accepted: Option<u64>,
-    /// O(1) incremental bounding-box updates (annealing stages).
-    pub bbox_incremental: Option<u64>,
-    /// Full bounding-box rescans forced by a boundary pin moving inward.
-    pub bbox_full: Option<u64>,
-    /// Net routings summed over all negotiation iterations (routing
-    /// stages); full rip-up pays `nets × iterations`, dirty-net far less.
-    pub nets_rerouted: Option<u64>,
-    /// Routable nets the stage handled (routing stages).
-    pub nets_total: Option<u64>,
-    /// Recovery retries the stage consumed before succeeding (stochastic
-    /// stages under `--retries`; recorded so reseeded runs fingerprint
-    /// differently from first-try runs).
-    pub retries: Option<u32>,
-    /// Full (from-scratch) STA passes the stage ran.
-    pub sta_full: Option<u64>,
-    /// Event-driven incremental STA updates/queries the stage ran.
-    pub sta_incremental: Option<u64>,
-    /// Timing-graph nodes the incremental updates recomputed (full passes
-    /// do not count here).
-    pub sta_nodes_touched: Option<u64>,
-    /// Stage results served from the shared artifact cache instead of
-    /// recomputed (daemon mode; unset in batch runs).
-    pub cache_hits: Option<u64>,
-    /// Stage results the cache had to compute (or recompute after an
-    /// eviction).
-    pub cache_misses: Option<u64>,
-    /// Cache entries evicted under byte pressure while this job
-    /// published its artifacts.
-    pub cache_evicted: Option<u64>,
-    /// Leaf regions whose previous-pass seating the §3.1 repack loop
-    /// replayed verbatim (packing stages; unset for single-pass packs).
-    pub repack_regions_reused: Option<u64>,
-    /// Leaf regions the repack loop re-seated because their item
-    /// membership changed.
-    pub repack_subtrees_dirty: Option<u64>,
-    /// Swap evaluations answered by an incremental bounding-box update
-    /// (swap stages; unset when the direct engine ran).
-    pub swap_delta_evals: Option<u64>,
-    /// Swap evaluations that fell back to a full net-pin rescan.
-    pub swap_bbox_rescans: Option<u64>,
+    /// Optimizer cost entering and leaving the stage, if the stage
+    /// optimizes one.
+    pub cost: Option<(f64, f64)>,
+    /// One slot per [`Counter`], indexed by declaration order; 0 means
+    /// the stage did not record it.
+    counters: [u64; Counter::COUNT],
 }
 
 impl StageStats {
-    /// A record with sizes only; costs and counters unset.
+    /// A record with sizes only; cost unset and every counter zero.
     pub fn new(stage: StageId, wall: Duration, cells: usize, nets: usize) -> StageStats {
         StageStats {
             stage,
             wall,
             cells,
             nets,
-            cost_before: None,
-            cost_after: None,
-            moves_attempted: None,
-            moves_accepted: None,
-            bbox_incremental: None,
-            bbox_full: None,
-            nets_rerouted: None,
-            nets_total: None,
-            retries: None,
-            sta_full: None,
-            sta_incremental: None,
-            sta_nodes_touched: None,
-            cache_hits: None,
-            cache_misses: None,
-            cache_evicted: None,
-            repack_regions_reused: None,
-            repack_subtrees_dirty: None,
-            swap_delta_evals: None,
-            swap_bbox_rescans: None,
+            cost: None,
+            counters: [0; Counter::COUNT],
         }
     }
 
     /// Attaches before/after optimizer cost.
     #[must_use]
     pub fn with_cost(mut self, before: f64, after: f64) -> StageStats {
-        self.cost_before = Some(before);
-        self.cost_after = Some(after);
+        self.cost = Some((before, after));
         self
     }
 
-    /// Attaches mover counters.
+    /// Sets `counter` to `value` (0 leaves it unrecorded).
     #[must_use]
-    pub fn with_moves(mut self, attempted: u64, accepted: u64) -> StageStats {
-        self.moves_attempted = Some(attempted);
-        self.moves_accepted = Some(accepted);
+    pub fn with(mut self, counter: Counter, value: u64) -> StageStats {
+        self.counters[counter as usize] = value;
         self
     }
 
-    /// Attaches the incremental-vs-full bounding-box update counters of an
-    /// annealing stage.
-    #[must_use]
-    pub fn with_bbox_updates(mut self, incremental: u64, full: u64) -> StageStats {
-        self.bbox_incremental = Some(incremental);
-        self.bbox_full = Some(full);
-        self
+    /// The value of `counter`; 0 when the stage did not record it.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
     }
 
-    /// Attaches the re-route work counters of a routing stage.
-    #[must_use]
-    pub fn with_reroutes(mut self, rerouted: u64, total: u64) -> StageStats {
-        self.nets_rerouted = Some(rerouted);
-        self.nets_total = Some(total);
-        self
-    }
-
-    /// Attaches the recovery-retry count (only recorded when non-zero, so
-    /// untouched runs keep their fingerprints).
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> StageStats {
-        if retries > 0 {
-            self.retries = Some(retries);
-        }
-        self
-    }
-
-    /// Attaches the STA work counters of a timing-consuming stage.
-    #[must_use]
-    pub fn with_sta(mut self, full: u64, incremental: u64, nodes_touched: u64) -> StageStats {
-        self.sta_full = Some(full);
-        self.sta_incremental = Some(incremental);
-        self.sta_nodes_touched = Some(nodes_touched);
-        self
-    }
-
-    /// Attaches the shared-artifact-cache counters of a daemon-served
-    /// stage (only recorded when the cache was actually consulted, so
-    /// batch runs keep their records unchanged). Excluded from
-    /// [`StageStats::fold_fingerprint`]: a cache hit must fingerprint
-    /// identically to the recompute it replaced.
-    #[must_use]
-    pub fn with_cache(mut self, hits: u64, misses: u64, evicted: u64) -> StageStats {
-        if hits + misses + evicted > 0 {
-            self.cache_hits = Some(hits);
-            self.cache_misses = Some(misses);
-            self.cache_evicted = Some(evicted);
-        }
-        self
-    }
-
-    /// Attaches the incremental-repack counters of a packing stage (only
-    /// recorded when a repack pass actually consulted the leaf memo, so
-    /// single-pass packs keep their records unchanged). Excluded from
-    /// [`StageStats::fold_fingerprint`]: a replayed region must
-    /// fingerprint identically to the re-seat it replaced.
-    #[must_use]
-    pub fn with_repack(mut self, reused: u64, dirty: u64) -> StageStats {
-        if reused + dirty > 0 {
-            self.repack_regions_reused = Some(reused);
-            self.repack_subtrees_dirty = Some(dirty);
-        }
-        self
-    }
-
-    /// Attaches the delta-evaluation counters of a swap stage (only
-    /// recorded when the delta engine ran, so the direct engine keeps its
-    /// records unchanged). Excluded from
-    /// [`StageStats::fold_fingerprint`] like the repack counters.
-    #[must_use]
-    pub fn with_swap_evals(mut self, delta: u64, rescans: u64) -> StageStats {
-        if delta + rescans > 0 {
-            self.swap_delta_evals = Some(delta);
-            self.swap_bbox_rescans = Some(rescans);
-        }
-        self
-    }
-
-    /// Folds every deterministic field (everything but `wall`) into `h`
-    /// with an FNV-1a step, so result fingerprints also pin the
-    /// instrumentation.
+    /// Folds every deterministic field into `h` with an FNV-1a step:
+    /// stage, sizes, the cost pair, then each [`Counter::folded`] counter
+    /// in declaration order. Wall time and the shown-only counters stay
+    /// out, so result fingerprints pin the instrumentation that describes
+    /// *what* was computed and nothing that describes *how*.
     pub fn fold_fingerprint(&self, h: &mut u64) {
         let mut mix = |v: u64| {
             *h = (*h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
@@ -290,33 +263,12 @@ impl StageStats {
         }
         mix(self.cells as u64);
         mix(self.nets as u64);
-        mix(self.cost_before.map_or(0, f64::to_bits));
-        mix(self.cost_after.map_or(0, f64::to_bits));
-        mix(self.moves_attempted.unwrap_or(0));
-        mix(self.moves_accepted.unwrap_or(0));
-        mix(self.bbox_incremental.unwrap_or(0));
-        mix(self.bbox_full.unwrap_or(0));
-        mix(self.nets_rerouted.unwrap_or(0));
-        mix(self.nets_total.unwrap_or(0));
-        mix(u64::from(self.retries.unwrap_or(0)));
-        // The STA work counters are deliberately NOT folded in: they are
-        // implementation metrics of the timer (how the numbers were
-        // computed, not which numbers), and every timing result they could
-        // influence is already pinned by the cost/slack fields above. This
-        // keeps fingerprints stable across timer-strategy changes.
-        //
-        // The cache counters (cache_hits/cache_misses/cache_evicted) stay
-        // out too: a daemon job served from the artifact cache must
-        // fingerprint bit-identically to the batch run that computed the
-        // entry, whatever mix of hits, misses, and evictions it saw.
-        //
-        // The incremental back-end counters (repack_regions_reused,
-        // repack_subtrees_dirty, swap_delta_evals, swap_bbox_rescans)
-        // stay out for the same reason: the dirty-region repack and the
-        // delta-cost swap are bit-identical shortcuts, and the
-        // moves/cost fields above already pin every assignment and every
-        // HPWL they could have perturbed. Disabling either engine must
-        // not change a published fingerprint.
+        let (before, after) = self.cost.unwrap_or((0.0, 0.0));
+        mix(before.to_bits());
+        mix(after.to_bits());
+        for &c in Counter::ALL.iter().filter(|c| c.folded()) {
+            mix(self.get(c));
+        }
     }
 }
 
@@ -330,37 +282,14 @@ impl fmt::Display for StageStats {
             self.cells,
             self.nets
         )?;
-        if let (Some(b), Some(a)) = (self.cost_before, self.cost_after) {
+        if let Some((b, a)) = self.cost {
             write!(f, "  cost {b:>12.1} → {a:>12.1}")?;
         }
-        if let (Some(att), Some(acc)) = (self.moves_attempted, self.moves_accepted) {
-            write!(f, "  moves {acc}/{att}")?;
-        }
-        if let (Some(incr), Some(full)) = (self.bbox_incremental, self.bbox_full) {
-            write!(f, "  bbox {incr}i/{full}f")?;
-        }
-        if let (Some(rr), Some(total)) = (self.nets_rerouted, self.nets_total) {
-            write!(f, "  reroutes {rr}/{total} nets")?;
-        }
-        if let (Some(full), Some(incr)) = (self.sta_full, self.sta_incremental) {
-            write!(f, "  sta {full}full/{incr}incr")?;
-            if let Some(n) = self.sta_nodes_touched {
-                write!(f, "/{n}n")?;
+        for &c in Counter::ALL {
+            let v = self.get(c);
+            if v != 0 {
+                write!(f, "  {}={v}", c.name())?;
             }
-        }
-        if let (Some(h), Some(m), Some(e)) =
-            (self.cache_hits, self.cache_misses, self.cache_evicted)
-        {
-            write!(f, "  cache {h}h/{m}m/{e}e")?;
-        }
-        if let (Some(re), Some(di)) = (self.repack_regions_reused, self.repack_subtrees_dirty) {
-            write!(f, "  repack {re}r/{di}d")?;
-        }
-        if let (Some(de), Some(rs)) = (self.swap_delta_evals, self.swap_bbox_rescans) {
-            write!(f, "  delta {de}i/{rs}f")?;
-        }
-        if let Some(r) = self.retries {
-            write!(f, "  retries {r}")?;
         }
         Ok(())
     }
@@ -388,104 +317,77 @@ pub fn render_stages(stages: &[StageStats], indent: &str) -> String {
 mod tests {
     use super::*;
 
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fold(s: &StageStats) -> u64 {
+        let mut h = FNV_OFFSET;
+        s.fold_fingerprint(&mut h);
+        h
+    }
+
     #[test]
     fn fingerprint_ignores_wall_time() {
         let a = StageStats::new(StageId::Place, Duration::from_millis(5), 10, 20)
             .with_cost(100.0, 50.0)
-            .with_moves(1000, 440);
+            .with(Counter::MovesAttempted, 1000)
+            .with(Counter::MovesAccepted, 440);
         let b = StageStats {
             wall: Duration::from_millis(999),
             ..a.clone()
         };
-        let (mut ha, mut hb) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
-        a.fold_fingerprint(&mut ha);
-        b.fold_fingerprint(&mut hb);
-        assert_eq!(ha, hb);
+        assert_eq!(fold(&a), fold(&b));
     }
 
+    /// Each counter either refingerprints (folded) or only shows
+    /// (`--stats`), renders as `name=value` when set, and is absent at 0.
     #[test]
-    fn fingerprint_sees_counters() {
-        let a = StageStats::new(StageId::Pack, Duration::ZERO, 10, 20).with_moves(5, 3);
-        let b = StageStats::new(StageId::Pack, Duration::ZERO, 10, 20).with_moves(5, 4);
-        let (mut ha, mut hb) = (0u64, 0u64);
-        a.fold_fingerprint(&mut ha);
-        b.fold_fingerprint(&mut hb);
-        assert_ne!(ha, hb);
+    fn every_counter_folds_or_only_shows_as_declared() {
+        let base = StageStats::new(StageId::Route, Duration::ZERO, 10, 20).with_cost(9.0, 7.0);
+        let folded: Vec<&str> = Counter::ALL
+            .iter()
+            .filter(|c| c.folded())
+            .map(|c| c.name())
+            .collect();
+        assert_eq!(
+            folded,
+            [
+                "moves_attempted",
+                "moves_accepted",
+                "bbox_incremental",
+                "bbox_full",
+                "nets_rerouted",
+                "nets_total",
+                "retries"
+            ]
+        );
+        for &c in Counter::ALL {
+            let set = base.clone().with(c, 42);
+            assert_eq!(set.get(c), 42);
+            assert_eq!(
+                fold(&set) != fold(&base),
+                c.folded(),
+                "{}: fold must move iff the counter is folded",
+                c.name()
+            );
+            assert!(
+                set.to_string().contains(&format!("  {}=42", c.name())),
+                "{set}"
+            );
+            assert!(!base.to_string().contains(c.name()), "{base}");
+            assert_eq!(base.clone().with(c, 0), base, "{}", c.name());
+        }
     }
 
+    /// Pins the fold of a record with every counter set, as computed by
+    /// the per-field record this table replaced: any change to the
+    /// folded set or its order moves every published fingerprint.
     #[test]
-    fn fingerprint_sees_incremental_counters() {
-        let base = StageStats::new(StageId::Place, Duration::ZERO, 10, 20);
-        let a = base.clone().with_bbox_updates(100, 5);
-        let b = base.clone().with_bbox_updates(100, 6);
-        let (mut ha, mut hb) = (0u64, 0u64);
-        a.fold_fingerprint(&mut ha);
-        b.fold_fingerprint(&mut hb);
-        assert_ne!(ha, hb);
-        let r = StageStats::new(StageId::Route, Duration::ZERO, 10, 20);
-        let c = r.clone().with_reroutes(36, 30);
-        let d = r.clone().with_reroutes(42, 30);
-        let (mut hc, mut hd) = (0u64, 0u64);
-        c.fold_fingerprint(&mut hc);
-        d.fold_fingerprint(&mut hd);
-        assert_ne!(hc, hd);
-        // Display carries the counters for `--stats`.
-        assert!(a.to_string().contains("bbox 100i/5f"));
-        assert!(c.to_string().contains("reroutes 36/30 nets"));
-    }
-
-    #[test]
-    fn sta_counters_show_but_do_not_refingerprint() {
-        let base = StageStats::new(StageId::PhysSynth, Duration::ZERO, 10, 20).with_cost(9.0, 7.0);
-        let with = base.clone().with_sta(1, 2, 345);
-        // Visible in `--stats` output ...
-        assert!(with.to_string().contains("sta 1full/2incr/345n"));
-        // ... but invisible to the fingerprint, so timer-strategy changes
-        // keep the PR 3 goldens bit-identical.
-        let (mut ha, mut hb) = (0u64, 0u64);
-        base.fold_fingerprint(&mut ha);
-        with.fold_fingerprint(&mut hb);
-        assert_eq!(ha, hb);
-    }
-
-    #[test]
-    fn cache_counters_show_but_do_not_refingerprint() {
-        let base = StageStats::new(StageId::Synth, Duration::ZERO, 10, 20).with_cost(9.0, 7.0);
-        let served = base.clone().with_cache(4, 1, 2);
-        assert!(served.to_string().contains("cache 4h/1m/2e"));
-        // A cache-served job must fingerprint bit-identically to the
-        // batch run that computed the entry.
-        let (mut ha, mut hb) = (0u64, 0u64);
-        base.fold_fingerprint(&mut ha);
-        served.fold_fingerprint(&mut hb);
-        assert_eq!(ha, hb);
-        // Zero-count attachment leaves the record untouched (batch runs).
-        assert_eq!(base.clone().with_cache(0, 0, 0), base);
-    }
-
-    #[test]
-    fn backend_counters_show_but_do_not_refingerprint() {
-        let pack = StageStats::new(StageId::Pack, Duration::ZERO, 10, 20).with_moves(30, 24);
-        let inc = pack.clone().with_repack(553, 5767);
-        assert!(inc.to_string().contains("repack 553r/5767d"));
-        let swap = StageStats::new(StageId::Swap, Duration::ZERO, 10, 20)
-            .with_cost(9.0, 7.0)
-            .with_moves(300, 120);
-        let delta = swap.clone().with_swap_evals(26, 33);
-        assert!(delta.to_string().contains("delta 26i/33f"));
-        // The incremental engines are bit-identical shortcuts: toggling
-        // them must not change a published fingerprint.
-        let (mut ha, mut hb, mut hc, mut hd) = (0u64, 0u64, 0u64, 0u64);
-        pack.fold_fingerprint(&mut ha);
-        inc.fold_fingerprint(&mut hb);
-        swap.fold_fingerprint(&mut hc);
-        delta.fold_fingerprint(&mut hd);
-        assert_eq!(ha, hb);
-        assert_eq!(hc, hd);
-        // Zero-count attachment leaves the record untouched (single-pass
-        // packs, direct swap engine).
-        assert_eq!(pack.clone().with_repack(0, 0), pack);
-        assert_eq!(swap.clone().with_swap_evals(0, 0), swap);
+    fn fold_of_fully_populated_record_is_pinned() {
+        let s = Counter::ALL.iter().zip(1..).fold(
+            StageStats::new(StageId::Route, Duration::from_millis(3), 10, 20).with_cost(3.5, 1.25),
+            |s, (&c, v)| s.with(c, v),
+        );
+        assert_eq!(fold(&s), 0x14da_2484_ff51_fcd1);
     }
 
     #[test]

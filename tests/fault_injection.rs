@@ -19,7 +19,7 @@ use vpga::core::PlbArchitecture;
 use vpga::designs::{DesignParams, NamedDesign};
 use vpga::flow::faultpoint::{self, FaultKind};
 use vpga::flow::{
-    run_design, CachedFlow, CheckpointStore, Executor, FlowConfig, FlowError, FlowMatrix,
+    run_design, CachedFlow, CheckpointStore, Counter, Executor, FlowConfig, FlowError, FlowMatrix,
     FlowVariant, JobEvent, ServiceJob, Stage,
 };
 use vpga::serve::{get, spawn, DaemonConfig};
@@ -168,7 +168,7 @@ fn retries_recover_from_one_shot_stage_errors() {
             .collect();
         let retried = stages
             .iter()
-            .find(|s| s.stage == stage && s.retries == Some(1));
+            .find(|s| s.stage == stage && s.get(Counter::Retries) == 1);
         assert!(
             retried.is_some(),
             "{point}: no stage recorded the consumed retry: {stages:?}"

@@ -318,7 +318,9 @@ mod executor_properties {
     use proptest::prelude::*;
     use vpga::core::PlbArchitecture;
     use vpga::designs::{DesignParams, NamedDesign};
-    use vpga::flow::{Executor, FlowConfig, FlowJob, FlowMatrix, FlowVariant, JobResult, Stage};
+    use vpga::flow::{
+        Counter, Executor, FlowConfig, FlowJob, FlowMatrix, FlowVariant, JobResult, Stage,
+    };
 
     /// The full tiny-size matrix, computed once and shared across cases
     /// (each case below only *reads* stage records, which is cheap).
@@ -383,10 +385,9 @@ mod executor_properties {
                 prop_assert!(s.cells > 0, "{}: no cells", s.stage);
                 prop_assert!(s.nets > 0, "{}: no nets", s.stage);
                 prop_assert!(s.wall.as_secs_f64() >= 0.0);
-                if let (Some(att), Some(acc)) = (s.moves_attempted, s.moves_accepted) {
-                    prop_assert!(acc <= att, "{}: accepted {} > attempted {}", s.stage, acc, att);
-                }
-                if let (Some(before), Some(after)) = (s.cost_before, s.cost_after) {
+                let (att, acc) = (s.get(Counter::MovesAttempted), s.get(Counter::MovesAccepted));
+                prop_assert!(acc <= att, "{}: accepted {} > attempted {}", s.stage, acc, att);
+                if let Some((before, after)) = s.cost {
                     prop_assert!(before.is_finite() && after.is_finite());
                     if matches!(s.stage, Stage::Place | Stage::PhysSynth | Stage::Swap) {
                         prop_assert!(
